@@ -6,10 +6,18 @@
 //! 2. compute one data cube `C_j` per sub-query over the explanation
 //!    attributes `A'`, so each cube row holds `v_j(φ) = q_j(D_φ)`;
 //! 3. full-outer-join the cubes into the table `M` (missing explanations
-//!    count as zero) — implemented with the paper's dummy-value
-//!    optimization so the join is a plain hash equi-join;
+//!    count as zero);
 //! 4. per row, `μ_interv(φ) = sign · E(u_1 − v_1, …, u_m − v_m)` and
 //!    `μ_aggr(φ) = sign · E(v_1, …, v_m)`.
+//!
+//! The default path fuses lines 1–3 into one scan: a single cube whose
+//! cells carry one aggregate slot per sub-query
+//! ([`exq_relstore::cube::compute_slots_with`]). Its cells already are the
+//! rows of the joined table, and its grand-total cell holds the `u_j` (a
+//! slot summing floats is evaluated directly, see below). The
+//! reference path (`reference_rows`) runs the paper's shape literally: a
+//! totals query, `m` row-oriented cubes, and the outer join implemented
+//! with the dummy-value optimization.
 
 use crate::additivity::check_query;
 use crate::error::{Error, Result};
@@ -29,11 +37,11 @@ pub struct CubeAlgoConfig {
     /// anyway — the μ_interv column is then an *approximation* (the
     /// μ_aggr column is always exact).
     pub enforce_additivity: bool,
-    /// Force the row-oriented `Value` cube path even when every
-    /// explanation attribute is dictionary-coded. The default (`false`)
-    /// runs the columnar coded path when available; both produce
-    /// bit-identical tables, and the differential tests pin that by
-    /// setting this flag on one side.
+    /// Run the paper's literal shape instead of the fused pass: a totals
+    /// query, one row-oriented `Value` cube per sub-query, and the
+    /// dummy-value outer join. The default (`false`) runs the one-scan
+    /// fused pass. Both produce bit-identical tables, and the differential
+    /// tests pin that by setting this flag on one side.
     pub reference_rows: bool,
     /// The executor the cubes and the degree derivation run on. Output is
     /// bit-identical at any thread count.
@@ -102,25 +110,43 @@ pub fn explanation_table(
         }
     }
 
-    // Line 1: totals u_j.
-    let totals = sink.time("cube_algo.totals", || {
-        question.query.aggregate_values(db, u)
-    })?;
-
-    // Line 2: per-sub-query cubes, joined (line 3) in whichever space the
-    // store supports: dictionary codes when every explanation attribute is
-    // coded (the columnar fast path), cloned `Value`s otherwise.
     let m = question.query.arity();
     sink.add("cube_algo.sub_queries", m as u64);
-    let cells: Vec<(Coord, Vec<f64>)> = if config.reference_rows {
-        joined_value_cells(db, u, question, dims, &config, &sink, m)?
+    let (totals, cells) = if config.reference_rows {
+        // Line 1: totals u_j.
+        let totals = sink.time("cube_algo.totals", || {
+            question.query.aggregate_values(db, u)
+        })?;
+        // Lines 2-3: per-sub-query cubes, outer-joined.
+        let cells = joined_value_cells(db, u, question, dims, &config, &sink, m)?;
+        sink.add("cube_algo.joined_cells", cells.len() as u64);
+        (totals, cells)
     } else {
-        match joined_coded_cells(db, u, question, dims, &config, &sink, m)? {
-            Some(cells) => cells,
-            None => joined_value_cells(db, u, question, dims, &config, &sink, m)?,
+        // Lines 1-3 in one pass: slot j of a cell is v_j, and the grand
+        // total's slots are the u_j.
+        let slots: Vec<_> = question
+            .query
+            .aggregates
+            .iter()
+            .map(|q| (&q.selection, &q.func))
+            .collect();
+        let cube = sink.time("cube_algo.cubes", || {
+            cube::compute_slots_with(db, u, &slots, dims, config.strategy, &config.exec)
+        })?;
+        let mut totals = cube.grand_total();
+        // Float additions do not associate, and the grand-total cell
+        // groups them like a cube (per block, then up the lattice). q_j(D)
+        // is the input-order fold every other surface computes (the
+        // reference path, the naive engine, `NumericalQuery::eval`), so a
+        // slot that sums floats is evaluated directly.
+        for (j, q) in question.query.aggregates.iter().enumerate() {
+            if q.func.sums_floats(db.schema()) {
+                totals[j] = sink.time("cube_algo.totals", || q.eval(db, u))?;
+            }
         }
+        // exq-lint: allow(L001): derive_rows re-sorts by coordinate, so the drain order is unobservable
+        (totals, cube.cells.into_iter().collect())
     };
-    sink.add("cube_algo.joined_cells", cells.len() as u64);
 
     // Lines 4-5: degree columns, derived per cell in parallel blocks (the
     // helper re-sorts by coordinate, so the HashMap drain order is moot).
@@ -182,58 +208,6 @@ fn joined_value_cells(
     }
     // exq-lint: allow(L001): derive_rows re-sorts by coordinate, so the drain order is unobservable
     Ok(joined.into_iter().collect())
-}
-
-/// Lines 2–3 in code space: one coded cube per sub-query, hash-joined on
-/// `u32` coordinate tuples, decoded once at the end (don't-cares become
-/// the reserved dummy, exactly like the `Value` join). Returns `None` when
-/// some explanation attribute's column is not dictionary-coded — coded-ness
-/// is a property of the store alone, so the first sub-query's answer holds
-/// for all of them.
-#[allow(clippy::type_complexity)] // the Option layer is the coded-ness signal, the Vec the join
-fn joined_coded_cells(
-    db: &Database,
-    u: &Universal,
-    question: &UserQuestion,
-    dims: &[AttrRef],
-    config: &CubeAlgoConfig,
-    sink: &MetricsSink,
-    m: usize,
-) -> Result<Option<Vec<(Coord, Vec<f64>)>>> {
-    let mut joined: HashMap<Box<[u32]>, Vec<f64>> = HashMap::new();
-    let mut decoder: Option<cube::CodedCube> = None;
-    for (j, q) in question.query.aggregates.iter().enumerate() {
-        let c = sink.time("cube_algo.cubes", || {
-            cube::compute_coded_with(
-                db,
-                u,
-                &q.selection,
-                dims,
-                &q.func,
-                config.strategy,
-                &config.exec,
-            )
-        })?;
-        let Some(mut c) = c else {
-            debug_assert_eq!(j, 0, "coded-ness cannot change between sub-queries");
-            return Ok(None);
-        };
-        let _join_span = sink.span("cube_algo.join");
-        for (key, value) in std::mem::take(&mut c.cells) {
-            joined.entry(key).or_insert_with(|| vec![0.0; m])[j] = value;
-        }
-        decoder = Some(c);
-    }
-    let Some(decoder) = decoder else {
-        return Ok(None); // no sub-queries: let the reference path handle it
-    };
-    let dummy = Value::dummy();
-    let mut cells = Vec::with_capacity(joined.len());
-    // exq-lint: allow(L001): derive_rows re-sorts by coordinate, so the drain order is unobservable
-    for (key, values) in joined {
-        cells.push((decoder.decode_coord(&key, &dummy), values));
-    }
-    Ok(Some(cells))
 }
 
 #[cfg(test)]

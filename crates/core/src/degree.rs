@@ -17,7 +17,6 @@
 use crate::explanation::Explanation;
 use crate::intervention::{Intervention, InterventionEngine};
 use crate::question::UserQuestion;
-use exq_relstore::aggregate::evaluate;
 use exq_relstore::{Database, Predicate, Result, Universal};
 
 /// `μ_aggr(φ)` by direct evaluation over `σ_φ(U(D))`.
@@ -40,11 +39,7 @@ pub fn mu_aggr_predicate(
     question: &UserQuestion,
     phi: &Predicate,
 ) -> Result<f64> {
-    let mut vals = Vec::with_capacity(question.query.arity());
-    for q in &question.query.aggregates {
-        let sel = Predicate::and([phi.clone(), q.selection.clone()]);
-        vals.push(evaluate(db, u, &sel, &q.func)?);
-    }
+    let vals = question.query.values_where(db, u, phi)?;
     Ok(question.direction.aggr_sign() * question.query.combine(&vals))
 }
 

@@ -14,7 +14,6 @@ use crate::explanation::{enumerate_candidates, Explanation};
 use crate::intervention::InterventionEngine;
 use crate::question::UserQuestion;
 use crate::table_m::{ExplanationRow, ExplanationTable};
-use exq_relstore::aggregate::evaluate;
 use exq_relstore::{par, AttrRef, Database, ExecConfig, Predicate};
 
 /// Compute the explanation table `M` by brute force.
@@ -117,15 +116,13 @@ fn candidate_row(
     let iv = engine.compute(phi);
     let mu_i = mu_interv_of(db, question, &iv)?;
 
-    // μ_aggr and the v_j values over σ_φ(U).
+    // The v_j values over σ_φ(U), and μ_aggr = ±E(v_1, …, v_m) from them
+    // (exactly what `degree::mu_aggr` computes).
     let u = engine.universal();
-    let phi_pred = phi.conjunction().to_predicate();
-    let mut values = Vec::with_capacity(question.query.arity());
-    for q in &question.query.aggregates {
-        let sel = Predicate::and([phi_pred.clone(), q.selection.clone()]);
-        values.push(evaluate(db, u, &sel, &q.func)?);
-    }
-    let mu_a = mu_aggr(db, u, question, phi)?;
+    let values = question
+        .query
+        .values_where(db, u, &phi.conjunction().to_predicate())?;
+    let mu_a = question.direction.aggr_sign() * question.query.combine(&values);
 
     Ok(ExplanationRow {
         coord: phi

@@ -6,7 +6,7 @@
 //! pairs `Q` with a direction — does the user find the value surprisingly
 //! `high` or `low`?
 
-use exq_relstore::aggregate::{evaluate, AggFunc};
+use exq_relstore::aggregate::{evaluate, evaluate_all, AggFunc};
 use exq_relstore::{Database, Predicate, Result, Universal, View};
 
 /// One aggregate sub-query `q_j = SELECT agg(…) FROM R_1 ⋈ … ⋈ R_k WHERE
@@ -240,9 +240,36 @@ impl NumericalQuery {
         }
     }
 
-    /// Evaluate all aggregates over a pre-computed universal relation.
+    /// Evaluate all aggregates over a pre-computed universal relation, in
+    /// one scan (see [`evaluate_all`]).
     pub fn aggregate_values(&self, db: &Database, u: &Universal) -> Result<Vec<f64>> {
-        self.aggregates.iter().map(|q| q.eval(db, u)).collect()
+        let queries: Vec<(&Predicate, &AggFunc)> = self
+            .aggregates
+            .iter()
+            .map(|q| (&q.selection, &q.func))
+            .collect();
+        evaluate_all(db, u, &queries)
+    }
+
+    /// Every aggregate over the tuples of `u` that also satisfy `phi` —
+    /// `q_j(σ_φ(U))` for all `j` — in one scan.
+    pub(crate) fn values_where(
+        &self,
+        db: &Database,
+        u: &Universal,
+        phi: &Predicate,
+    ) -> Result<Vec<f64>> {
+        let selections: Vec<Predicate> = self
+            .aggregates
+            .iter()
+            .map(|q| Predicate::and([phi.clone(), q.selection.clone()]))
+            .collect();
+        let queries: Vec<(&Predicate, &AggFunc)> = selections
+            .iter()
+            .zip(&self.aggregates)
+            .map(|(selection, q)| (selection, &q.func))
+            .collect();
+        evaluate_all(db, u, &queries)
     }
 
     /// Evaluate `Q` over a pre-computed universal relation.

@@ -15,8 +15,9 @@ use std::fmt;
 /// Cells per block when deriving degree rows in parallel.
 const DERIVE_BLOCK: usize = 1024;
 
-/// Lines 4–5 of Algorithm 1: turn joined cube cells (dummy-encoded
-/// coordinates plus the per-sub-query `v_j` vector) into degree rows,
+/// Lines 4–5 of Algorithm 1: turn joined cube cells (coordinates, with
+/// "don't care" as `Value::Null` or the reference join's dummy, plus the
+/// per-sub-query `v_j` vector) into degree rows,
 /// fanning blocks of cells out over `exec`. Each row's arithmetic reads
 /// only its own cell, so the fan-out is exact at any thread count; rows
 /// come back sorted by coordinate. The all-null (trivial) explanation is
@@ -33,7 +34,7 @@ pub fn derive_rows(
         chunk
             .iter()
             .filter_map(|(key, values)| {
-                // Undo the dummy mapping of the outer join.
+                // Undo the dummy mapping of the reference outer join.
                 let coord: Coord = key
                     .iter()
                     .map(|v| if v.is_dummy() { Value::Null } else { v.clone() })

@@ -60,6 +60,18 @@ impl AggFunc {
         }
     }
 
+    /// Whether the value depends on how its additions are grouped: SUM
+    /// and AVG over a column that may hold floats (integer contributions
+    /// sum exactly; no other aggregate adds).
+    pub fn sums_floats(&self, schema: &DatabaseSchema) -> bool {
+        match self {
+            AggFunc::Sum(a) | AggFunc::Avg(a) => {
+                schema.relation(a.rel).attributes[a.col].ty != ValueType::Int
+            }
+            _ => false,
+        }
+    }
+
     /// A fresh accumulator for this function.
     pub fn new_state(&self) -> AggState {
         match self {
@@ -326,16 +338,32 @@ pub fn evaluate(
     selection: &Predicate,
     func: &AggFunc,
 ) -> Result<f64> {
+    Ok(evaluate_all(db, u, &[(selection, func)])?[0])
+}
+
+/// [`evaluate`] for several `(selection, aggregate)` pairs in one scan of
+/// `u`: each pair keeps its own compiled predicate and state, and each
+/// state sees its admitted tuples in input order, so every value is
+/// bit-identical to a separate [`evaluate`] call.
+pub fn evaluate_all(
+    db: &Database,
+    u: &Universal,
+    queries: &[(&Predicate, &AggFunc)],
+) -> Result<Vec<f64>> {
     let store = std::sync::Arc::clone(db.columns());
-    let coded = store.compile_predicate(selection);
-    let agg = func.compile(&store);
-    let mut state = agg.new_state();
+    let compiled: Vec<_> = queries
+        .iter()
+        .map(|&(selection, func)| (store.compile_predicate(selection), func.compile(&store)))
+        .collect();
+    let mut states: Vec<AggState> = compiled.iter().map(|(_, agg)| agg.new_state()).collect();
     for t in u.iter() {
-        if coded.eval(db, t) {
-            agg.update(&mut state, db, t)?;
+        for ((selection, agg), state) in compiled.iter().zip(&mut states) {
+            if selection.eval(db, t) {
+                agg.update(state, db, t)?;
+            }
         }
     }
-    Ok(state.finalize())
+    Ok(states.iter().map(AggState::finalize).collect())
 }
 
 #[cfg(test)]

@@ -265,6 +265,88 @@ impl ColumnStore {
             },
         }
     }
+
+    /// Compile up to 64 predicates into one lookup table: the codes a
+    /// universal tuple holds in the dictionary-coded columns the
+    /// predicates read index the set of predicates it satisfies (bit `j`
+    /// for `preds[j]`), so one probe replaces evaluating each predicate.
+    /// `None` when a predicate reads a column without a dictionary, there
+    /// are more than 64 predicates, or the code combinations number more
+    /// than 2¹² (or none: an empty column).
+    ///
+    /// Exact for the reason [`ColumnStore::compile_predicate`] is: every
+    /// entry is `Predicate::eval_with` on the dictionaries'
+    /// representative values, and every comparison depends only on a
+    /// value's total-order class, which the dictionary codes one to one.
+    pub fn compile_predicate_set(&self, preds: &[&Predicate]) -> Option<PredicateSet<'_>> {
+        if preds.len() > 64 {
+            return None;
+        }
+        let mut attrs: Vec<AttrRef> = preds.iter().flat_map(|p| p.attrs()).collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+        // Per column: its dictionary and its stride in the table index.
+        let mut cols: Vec<(AttrRef, &[u32], &Dict, usize)> = Vec::with_capacity(attrs.len());
+        let mut size = 1usize;
+        for attr in attrs {
+            let (codes, dict) = self.dict_column(attr)?;
+            cols.push((attr, codes, dict, size));
+            size = size
+                .checked_mul(dict.len())
+                .filter(|n| (1..=PREDICATE_SET_MAX).contains(n))?;
+        }
+        let table = (0..size)
+            .map(|i| {
+                let value_of = |attr: AttrRef| {
+                    let &(_, _, dict, stride) = cols
+                        .iter()
+                        .find(|c| c.0 == attr)
+                        .expect("every read column was collected");
+                    dict.value(((i / stride) % dict.len()) as u32)
+                };
+                preds
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| p.eval_with(&value_of))
+                    .fold(0u64, |bits, (j, _)| bits | 1 << j)
+            })
+            .collect();
+        Some(PredicateSet {
+            cols: cols
+                .into_iter()
+                .map(|(attr, codes, _, stride)| (attr.rel, codes, stride))
+                .collect(),
+            table,
+        })
+    }
+}
+
+/// Largest table [`ColumnStore::compile_predicate_set`] builds.
+const PREDICATE_SET_MAX: usize = 1 << 12;
+
+/// Predicates compiled into one lookup table — see
+/// [`ColumnStore::compile_predicate_set`].
+#[derive(Debug)]
+pub struct PredicateSet<'a> {
+    /// Per read column: its relation, its per-row codes, and its stride in
+    /// the table index.
+    cols: Vec<(usize, &'a [u32], usize)>,
+    /// Per code combination: bit `j` set iff predicate `j` holds.
+    table: Box<[u64]>,
+}
+
+impl PredicateSet<'_> {
+    /// The predicates a universal tuple satisfies, bit `j` for predicate
+    /// `j`.
+    #[inline]
+    pub fn eval(&self, utuple: &[u32]) -> u64 {
+        let index = self
+            .cols
+            .iter()
+            .map(|&(rel, codes, stride)| codes[utuple[rel] as usize] as usize * stride)
+            .sum::<usize>();
+        self.table[index]
+    }
 }
 
 /// A selection predicate compiled against a [`ColumnStore`] — see

@@ -36,10 +36,10 @@
 //! # Ok::<(), exq_relstore::Error>(())
 //! ```
 
-use crate::aggregate::{AggFunc, AggState};
-use crate::column::{CodedPredicate, ColumnStore};
+use crate::aggregate::{AggEval, AggFunc, AggState};
+use crate::column::{CodedPredicate, ColumnStore, PredicateSet};
 use crate::database::Database;
-use crate::dict::{Dict, NO_CODE};
+use crate::dict::Dict;
 use crate::error::{Error, Result};
 use crate::join::Universal;
 use crate::par::{self, ExecConfig};
@@ -60,6 +60,11 @@ pub const MAX_CUBE_DIMS: usize = 16;
 /// grouping is a function of the input length alone — never of the thread
 /// count. This is what makes cube output bit-identical at any `--threads`.
 const ACCUM_BLOCK: usize = 4096;
+
+/// Blocks per executor thread that accumulate before their maps are
+/// merged: enough to keep every thread busy, few enough that the
+/// per-block maps alive at once stay a small multiple of the merged one.
+const WINDOW_BLOCKS_PER_THREAD: usize = 4;
 
 /// Which cube algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,11 +175,11 @@ pub fn compute(
 /// thread count: accumulation is blocked by `ACCUM_BLOCK` and merged in
 /// block order, and roll-up merges iterate cells in coordinate order.
 ///
-/// When every dimension column is dictionary-coded this runs entirely in
-/// `u32` code space and decodes the cells at the end; otherwise it takes
-/// the row-oriented `Value` path. Both run the *same* generic grouping
-/// code over the same block structure, tuple order, and fold order, so
-/// their cells are bit-identical (see `CubeSpace`).
+/// The one-slot case of [`compute_slots_with`]: it runs in packed code
+/// space when [`runs_coded`] holds and in `Value` space otherwise. Both
+/// run the *same* generic grouping code over the same block structure,
+/// tuple order, and fold order, so their cells are bit-identical (see
+/// `CubeSpace`).
 pub fn compute_with(
     db: &Database,
     u: &Universal,
@@ -184,10 +189,9 @@ pub fn compute_with(
     strategy: CubeStrategy,
     exec: &ExecConfig,
 ) -> Result<Cube> {
-    if let Some(coded) = compute_coded_with(db, u, selection, dims, agg, strategy, exec)? {
-        return Ok(coded.decode());
-    }
-    compute_rows_with(db, u, selection, dims, agg, strategy, exec)
+    let slots = [(selection, agg)];
+    let cells = run(db, u, &slots, dims, Mode::Cube(strategy), exec, false)?;
+    Ok(one_slot_cube(dims, cells))
 }
 
 /// The retained row-oriented reference path of [`compute_with`]: groups
@@ -203,30 +207,207 @@ pub fn compute_rows_with(
     strategy: CubeStrategy,
     exec: &ExecConfig,
 ) -> Result<Cube> {
-    if dims.len() > MAX_CUBE_DIMS {
-        return Err(Error::TooManyCubeDimensions(dims.len()));
+    let slots = [(selection, agg)];
+    let cells = run(db, u, &slots, dims, Mode::Cube(strategy), exec, true)?;
+    Ok(one_slot_cube(dims, cells))
+}
+
+/// A data cube carrying `m` aggregate slots per cell: slot `j` aggregates
+/// its own function over the tuples its own selection admits
+/// ([`compute_slots_with`]).
+#[derive(Debug, Clone)]
+pub struct SlotCube {
+    /// The dimension attributes, in coordinate order.
+    pub dims: Vec<AttrRef>,
+    /// One value per slot for each cell (`Value::Null` = "don't care"). A
+    /// cell exists when at least one slot's selection admits a tuple in
+    /// it; a slot that no admitted tuple reaches holds 0 — Algorithm 1's
+    /// outer-join convention, and the value of an empty aggregate.
+    pub cells: HashMap<Coord, Vec<f64>>,
+    slots: usize,
+}
+
+impl SlotCube {
+    /// Each slot's aggregate over its whole selection: the all-"don't
+    /// care" cell. All zeros (every aggregate empty) when no slot admitted
+    /// any tuple.
+    pub fn grand_total(&self) -> Vec<f64> {
+        let coord: Coord = vec![Value::Null; self.dims.len()].into_boxed_slice();
+        self.cells
+            .get(&coord)
+            .cloned()
+            .unwrap_or_else(|| vec![0.0; self.slots])
     }
-    agg.validate(db.schema())?;
-    let space = ValueSpace { dims };
-    let cells = compute_in(
-        db,
-        u,
-        &Selection::Rows(selection),
-        &space,
-        agg,
-        strategy,
-        exec,
-    )?;
-    Ok(Cube {
+}
+
+/// The cube of several `(selection, aggregate)` slots over `dims` in one
+/// scan of `u`: every tuple is tested against each slot's selection and
+/// folded once into its cells, which carry one aggregate state per slot.
+/// Each slot's cells are bit-identical to a separate [`compute_with`] run
+/// of that slot: a slot's state sees the same tuples in the same order,
+/// the same block merges and the same roll-up order.
+pub fn compute_slots_with(
+    db: &Database,
+    u: &Universal,
+    slots: &[(&Predicate, &AggFunc)],
+    dims: &[AttrRef],
+    strategy: CubeStrategy,
+    exec: &ExecConfig,
+) -> Result<SlotCube> {
+    let decoded = run(db, u, slots, dims, Mode::Cube(strategy), exec, false)?;
+    Ok(SlotCube {
         dims: dims.to_vec(),
-        cells,
+        cells: decoded
+            .into_iter()
+            .map(|(coord, slot_states)| (coord, slot_states.iter().map(finalize_slot).collect()))
+            .collect(),
+        slots: slots.len(),
     })
 }
 
-/// The selection evaluator for one cube run: the reference path keeps the
-/// `Value`-based [`Predicate::eval`]; the coded path pre-compiles the
-/// predicate against the column store (per-code masks), which returns
-/// bit-identical decisions (see [`ColumnStore::compile_predicate`]).
+/// Whether cubes over `dims` run in packed code space: every dimension
+/// column is dictionary-coded and a packed coordinate fits in 64 bits.
+/// Otherwise they group on `Value` coordinates.
+pub fn runs_coded(db: &Database, dims: &[AttrRef]) -> bool {
+    CodedSpace::new(db.columns(), dims).is_some()
+}
+
+/// Plain `GROUP BY` (no cube): only the finest-level cells. This is the
+/// operator behind series queries (one aggregate value per group), and
+/// the first phase of the lattice roll-up.
+pub fn group_by(
+    db: &Database,
+    u: &Universal,
+    selection: &Predicate,
+    dims: &[AttrRef],
+    agg: &AggFunc,
+) -> Result<Cube> {
+    group_by_with(db, u, selection, dims, agg, &ExecConfig::sequential())
+}
+
+/// [`group_by`] with an explicit executor. Like [`compute_with`], runs in
+/// code space when [`runs_coded`] holds.
+pub fn group_by_with(
+    db: &Database,
+    u: &Universal,
+    selection: &Predicate,
+    dims: &[AttrRef],
+    agg: &AggFunc,
+    exec: &ExecConfig,
+) -> Result<Cube> {
+    let slots = [(selection, agg)];
+    let cells = run(db, u, &slots, dims, Mode::GroupBy, exec, false)?;
+    Ok(one_slot_cube(dims, cells))
+}
+
+/// A space's cell map.
+type CellMap<S> = HashMap<<S as CubeSpace>::Key, SlotStates>;
+
+/// Per-cell aggregate states, one per slot; a slot stays `None` until a
+/// tuple its selection admits reaches the cell.
+type SlotStates = Box<[Option<AggState>]>;
+
+/// A slot's value: its finalized state, or 0 when no tuple reached it.
+fn finalize_slot(state: &Option<AggState>) -> f64 {
+    state.as_ref().map_or(0.0, AggState::finalize)
+}
+
+/// A one-slot run's cells as a [`Cube`].
+fn one_slot_cube(dims: &[AttrRef], decoded: Vec<(Coord, SlotStates)>) -> Cube {
+    Cube {
+        dims: dims.to_vec(),
+        cells: decoded
+            .into_iter()
+            .map(|(coord, slot_states)| (coord, finalize_slot(&slot_states[0])))
+            .collect(),
+    }
+}
+
+/// What one run of the machinery computes.
+#[derive(Clone, Copy)]
+enum Mode {
+    /// Every lattice level (`WITH CUBE`), by the given strategy.
+    Cube(CubeStrategy),
+    /// The finest level only (`GROUP BY`); records no counters.
+    GroupBy,
+}
+
+/// The one entry into the cube machinery: validate, pick the space, run,
+/// decode. `reference` forces the row-oriented path (`Value` keys,
+/// uncompiled predicates). Cells come back in no particular order; every
+/// caller collects them into a map.
+fn run(
+    db: &Database,
+    u: &Universal,
+    slots: &[(&Predicate, &AggFunc)],
+    dims: &[AttrRef],
+    mode: Mode,
+    exec: &ExecConfig,
+    reference: bool,
+) -> Result<Vec<(Coord, SlotStates)>> {
+    if dims.len() > MAX_CUBE_DIMS {
+        return Err(Error::TooManyCubeDimensions(dims.len()));
+    }
+    for (_, agg) in slots {
+        agg.validate(db.schema())?;
+    }
+    let store = Arc::clone(db.columns());
+    let aggs: Vec<&AggFunc> = slots.iter().map(|&(_, agg)| agg).collect();
+    let preds: Vec<&Predicate> = slots.iter().map(|&(p, _)| p).collect();
+    if reference {
+        let admission = Admission::Each(preds.into_iter().map(Selection::Rows).collect());
+        return run_in(db, u, &admission, &aggs, &ValueSpace { dims }, mode, exec);
+    }
+    let admission = match store.compile_predicate_set(&preds) {
+        Some(set) => Admission::Table(set),
+        None => Admission::Each(
+            preds
+                .into_iter()
+                .map(|p| Selection::Coded(store.compile_predicate(p)))
+                .collect(),
+        ),
+    };
+    match CodedSpace::new(&store, dims) {
+        Some(space) => run_in(db, u, &admission, &aggs, &space, mode, exec),
+        None => run_in(db, u, &admission, &aggs, &ValueSpace { dims }, mode, exec),
+    }
+}
+
+/// Which slots admit a tuple. Both forms return the decisions
+/// [`Predicate::eval`] would. The table answers every slot with one
+/// probe; it needs every column the selections read to be
+/// dictionary-coded and few code combinations, and `Each` covers the
+/// rest.
+enum Admission<'a> {
+    /// One table probe answers for every slot.
+    Table(PredicateSet<'a>),
+    /// Each slot's selection, evaluated in turn.
+    Each(Vec<Selection<'a>>),
+}
+
+impl Admission<'_> {
+    /// Fill `out` with the indices of the slots admitting tuple `t`.
+    #[inline]
+    fn admitted(&self, db: &Database, t: &[u32], out: &mut Vec<usize>) {
+        out.clear();
+        match self {
+            Admission::Table(set) => {
+                let mut bits = set.eval(t);
+                while bits != 0 {
+                    out.push(bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            Admission::Each(selections) => {
+                out.extend((0..selections.len()).filter(|&j| selections[j].eval(db, t)));
+            }
+        }
+    }
+}
+
+/// One slot's selection: the reference path keeps the `Value`-based
+/// [`Predicate::eval`]; otherwise the predicate is pre-compiled against
+/// the column store (per-code masks).
 enum Selection<'a> {
     /// Row-oriented reference: evaluate the predicate as given.
     Rows(&'a Predicate),
@@ -244,134 +425,52 @@ impl Selection<'_> {
     }
 }
 
-/// The code-space fast path: compute the cube without materializing any
-/// `Value`, returning the cells keyed by dictionary codes (with
-/// [`NO_CODE`] as the "don't care" coordinate). Returns `Ok(None)` —
-/// before recording any counter — when some dimension column is not
-/// dictionary-coded; the caller falls back to [`compute_rows_with`].
-pub fn compute_coded_with(
+/// Decode a state map into `Value` coordinates.
+fn decode_cells<S: CubeSpace>(space: &S, state_map: CellMap<S>) -> Vec<(Coord, SlotStates)> {
+    // exq-lint: allow(L001): every caller collects the cells into a map, so the drain order is unobservable
+    state_map
+        .into_iter()
+        .map(|(key, slot_states)| (space.decode(key), slot_states))
+        .collect()
+}
+
+/// The strategy dispatch, counter bookkeeping and decoding shared by
+/// both cube spaces. Counter semantics are identical whichever
+/// [`CubeSpace`] runs: `cube.runs`, the strategy tag, `cube.input_tuples`
+/// (tuples admitted by at least one slot), `cube.cells`, and per-level
+/// cell counts all describe the same stitched semantic events.
+fn run_in<S: CubeSpace>(
     db: &Database,
     u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-    strategy: CubeStrategy,
-    exec: &ExecConfig,
-) -> Result<Option<CodedCube>> {
-    if dims.len() > MAX_CUBE_DIMS {
-        return Err(Error::TooManyCubeDimensions(dims.len()));
-    }
-    agg.validate(db.schema())?;
-    let store = Arc::clone(db.columns());
-    let cells = match CodedSpace::new(&store, dims) {
-        None => return Ok(None),
-        Some(space) => {
-            let sel = Selection::Coded(store.compile_predicate(selection));
-            compute_in(db, u, &sel, &space, agg, strategy, exec)?
-        }
-    };
-    Ok(Some(CodedCube {
-        dims: dims.to_vec(),
-        store,
-        cells,
-    }))
-}
-
-/// A cube whose cells are keyed by dictionary codes instead of values:
-/// `cells[j]` holds the code of dimension `j`'s value in its column's
-/// dictionary, or [`NO_CODE`] for "don't care". Decodable at the output
-/// boundary; `core::cube_algo` joins several of these on raw code keys
-/// before decoding once.
-#[derive(Debug, Clone)]
-pub struct CodedCube {
-    dims: Vec<AttrRef>,
-    store: Arc<ColumnStore>,
-    /// Aggregate value per coded cell.
-    pub cells: HashMap<Box<[u32]>, f64>,
-}
-
-impl CodedCube {
-    /// The dimension attributes, in coordinate order.
-    pub fn dims(&self) -> &[AttrRef] {
-        &self.dims
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the cube has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Decode one coded cell key into a `Value` coordinate, substituting
-    /// `dont_care` for [`NO_CODE`] slots ([`Value::Null`] for plain cube
-    /// semantics; Algorithm 1 uses its dummy marker instead).
-    pub fn decode_coord(&self, key: &[u32], dont_care: &Value) -> Coord {
-        self.dims
-            .iter()
-            .zip(key)
-            .map(|(&a, &code)| {
-                if code == NO_CODE {
-                    dont_care.clone()
-                } else {
-                    let (_, dict) = self
-                        .store
-                        .dict_column(a)
-                        .expect("CodedCube is only built over dictionary-coded dimensions");
-                    dict.value(code).clone()
-                }
-            })
-            .collect()
-    }
-
-    /// Materialize as a value-keyed [`Cube`].
-    pub fn decode(self) -> Cube {
-        let mut cells = HashMap::with_capacity(self.cells.len());
-        // exq-lint: allow(L001): map-to-map re-keying via a bijective decode; no order observable
-        for (key, &v) in &self.cells {
-            cells.insert(self.decode_coord(key, &Value::Null), v);
-        }
-        Cube {
-            dims: self.dims,
-            cells,
-        }
-    }
-}
-
-/// The strategy dispatch and counter bookkeeping shared by both cube
-/// paths. Counter semantics are identical whichever [`CubeSpace`] runs:
-/// `cube.runs`, the strategy tag, `cube.input_tuples` (selected tuples),
-/// `cube.cells`, and per-level cell counts all describe the same
-/// stitched semantic events.
-fn compute_in<S: CubeSpace>(
-    db: &Database,
-    u: &Universal,
-    selection: &Selection<'_>,
+    admission: &Admission<'_>,
+    aggs: &[&AggFunc],
     space: &S,
-    agg: &AggFunc,
-    strategy: CubeStrategy,
+    mode: Mode,
     exec: &ExecConfig,
-) -> Result<HashMap<S::Key, f64>> {
+) -> Result<Vec<(Coord, SlotStates)>> {
+    let strategy = match mode {
+        Mode::GroupBy => {
+            let (cells, _) = accumulate_in(db, u, admission, aggs, space, exec, false)?;
+            return Ok(decode_cells(space, cells));
+        }
+        Mode::Cube(strategy) => strategy,
+    };
     let sink = exec.metrics();
     let _span = sink.span("cube");
     sink.incr("cube.runs");
     let resolved = resolve_strategy(db, u, space.dims(), strategy);
-    let (states, selected) = match resolved {
+    let (cells, selected) = match resolved {
         CubeStrategy::SubsetEnumeration => {
             sink.incr("cube.strategy.subset_enumeration");
-            accumulate_in(db, u, selection, space, agg, exec, true)?
+            accumulate_in(db, u, admission, aggs, space, exec, true)?
         }
         CubeStrategy::LatticeRollup => {
             sink.incr("cube.strategy.lattice_rollup");
-            lattice_rollup_in(db, u, selection, space, agg, exec)?
+            lattice_rollup_in(db, u, admission, aggs, space, exec)?
         }
         CubeStrategy::Auto => unreachable!("resolve_strategy never returns Auto"),
     };
     sink.add("cube.input_tuples", selected);
-    let cells: HashMap<S::Key, f64> = states.into_iter().map(|(k, s)| (k, s.finalize())).collect();
     sink.add("cube.cells", cells.len() as u64);
     if sink.is_enabled() {
         // Cells materialized per lattice level, where a cell's level is
@@ -388,58 +487,7 @@ fn compute_in<S: CubeSpace>(
             }
         }
     }
-    Ok(cells)
-}
-
-/// Plain `GROUP BY` (no cube): only the finest-level cells. This is the
-/// operator behind series queries (one aggregate value per group), and
-/// the first phase of the lattice roll-up.
-pub fn group_by(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-) -> Result<Cube> {
-    group_by_with(db, u, selection, dims, agg, &ExecConfig::sequential())
-}
-
-/// [`group_by`] with an explicit executor. Like [`compute_with`], runs in
-/// code space when every dimension column is dictionary-coded.
-pub fn group_by_with(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-    exec: &ExecConfig,
-) -> Result<Cube> {
-    if dims.len() > MAX_CUBE_DIMS {
-        return Err(Error::TooManyCubeDimensions(dims.len()));
-    }
-    agg.validate(db.schema())?;
-    let store = Arc::clone(db.columns());
-    if let Some(space) = CodedSpace::new(&store, dims) {
-        let sel = Selection::Coded(store.compile_predicate(selection));
-        let (cells, _selected) = accumulate_in(db, u, &sel, &space, agg, exec, false)?;
-        let mut decoded = HashMap::with_capacity(cells.len());
-        // exq-lint: allow(L001): map-to-map re-keying via a bijective decode; each cell finalizes independently
-        for (key, s) in &cells {
-            decoded.insert(space.decode_key(key), s.finalize());
-        }
-        return Ok(Cube {
-            dims: dims.to_vec(),
-            cells: decoded,
-        });
-    }
-    let space = ValueSpace { dims };
-    let (cells, _selected) =
-        accumulate_in(db, u, &Selection::Rows(selection), &space, agg, exec, false)?;
-    Ok(Cube {
-        dims: dims.to_vec(),
-        // exq-lint: allow(L001): map-to-map re-keying; each cell finalizes independently, no order observable
-        cells: cells.into_iter().map(|(k, s)| (k, s.finalize())).collect(),
-    })
+    Ok(decode_cells(space, cells))
 }
 
 /// A coordinate representation for the generic cube machinery.
@@ -447,15 +495,16 @@ pub fn group_by_with(
 /// [`accumulate_in`] and [`lattice_rollup_in`] are written once against
 /// this trait and instantiated for two spaces: [`ValueSpace`] (keys are
 /// cloned `Value` coordinates — the reference path) and [`CodedSpace`]
-/// (keys are `u32` dictionary codes — the fast path). The bit-identity
-/// argument between the two is structural: both instantiations execute
-/// the same block partitioning, tuple order, entry/update sequence, and
-/// merge/fold order; the only difference is the key type, and the
-/// code↔value mapping is a bijection whose [`CubeSpace::cmp_keys`] orders
-/// keys exactly like the `Value` total order on decoded coordinates (the
-/// dictionary `rank` table, with "don't care" below everything, mirroring
-/// `Value::Null`). So every float addition happens between the same
-/// numbers in the same order in both spaces.
+/// (keys are dictionary ranks packed into one `u64` — the fast path). The
+/// bit-identity argument between the two is structural: both
+/// instantiations execute the same block partitioning, tuple order,
+/// entry/update sequence, and merge/fold order; the only difference is
+/// the key type, and the key↔value mapping is a bijection whose
+/// [`CubeSpace::cmp_keys`] orders keys exactly like the `Value` total
+/// order on decoded coordinates (the dictionary `rank` table, with "don't
+/// care" below everything, mirroring `Value::Null`). So every float
+/// addition happens between the same numbers in the same order in both
+/// spaces.
 trait CubeSpace: Sync {
     /// One dimension's slot in an extracted base coordinate.
     type Elem: Clone + Send;
@@ -478,6 +527,8 @@ trait CubeSpace: Sync {
     fn cmp_keys(&self, a: &Self::Key, b: &Self::Key) -> Ordering;
     /// Number of specified (non-don't-care) dimensions of `key`.
     fn level_of(&self, key: &Self::Key) -> usize;
+    /// The `Value` coordinate of `key`, `Value::Null` for "don't care".
+    fn decode(&self, key: Self::Key) -> Coord;
 }
 
 /// The row-oriented reference space: coordinates of cloned [`Value`]s.
@@ -533,109 +584,136 @@ impl CubeSpace for ValueSpace<'_> {
     fn level_of(&self, key: &Coord) -> usize {
         key.iter().filter(|v| !v.is_null()).count()
     }
+
+    fn decode(&self, key: Coord) -> Coord {
+        key
+    }
 }
 
-/// The columnar fast space: coordinates of `u32` dictionary codes, with
-/// [`NO_CODE`] as "don't care".
+/// The columnar fast space: a coordinate packed into one `u64`. Dimension
+/// `j` owns a field of ⌈log₂(|dict_j| + 1)⌉ bits holding its value's
+/// dictionary rank + 1, with 0 as "don't care"; dimension 0 owns the most
+/// significant field. Since ranks order codes exactly like the `Value`
+/// order of their values and "don't care" sorts below every rank (as
+/// `Value::Null` sorts below every value), plain integer order on keys is
+/// the lexicographic `Value` order on decoded coordinates. Null *values*
+/// never appear in keys ([`CubeSpace::extract`] rejects them), so they
+/// cannot collide with "don't care".
 struct CodedSpace<'a> {
     dims: &'a [AttrRef],
     /// Per dimension: the column's codes (per row) and dictionary.
     cols: Vec<(&'a [u32], &'a Dict)>,
+    /// Per dimension: the bit offset of its field.
+    shifts: Vec<u32>,
+    /// Per dimension: its field's bits, in place.
+    fields: Vec<u64>,
+    /// Per dimension: the code of each rank (inverts `Dict::rank`).
+    by_rank: Vec<Vec<u32>>,
 }
 
 impl<'a> CodedSpace<'a> {
-    /// `Some` iff every dimension column is dictionary-coded.
+    /// `Some` iff every dimension column is dictionary-coded and the
+    /// fields fit in 64 bits together.
     fn new(store: &'a ColumnStore, dims: &'a [AttrRef]) -> Option<CodedSpace<'a>> {
         let cols = dims
             .iter()
             .map(|&a| store.dict_column(a))
             .collect::<Option<Vec<_>>>()?;
-        Some(CodedSpace { dims, cols })
-    }
-
-    /// Rank of one key slot under the decoded `Value` order: "don't care"
-    /// first (as `Value::Null` sorts below everything), then dictionary
-    /// rank. Null *values* never appear in keys ([`CubeSpace::extract`]
-    /// rejects them), so the two cannot collide.
-    #[inline]
-    fn slot_rank(&self, j: usize, code: u32) -> u64 {
-        if code == NO_CODE {
-            0
-        } else {
-            u64::from(self.cols[j].1.rank(code)) + 1
+        // Field j holds 0..=|dict_j|; at least one bit so every shift
+        // stays below 64.
+        let widths: Vec<u32> = cols
+            .iter()
+            .map(|(_, dict)| (u64::BITS - (dict.len() as u64).leading_zeros()).max(1))
+            .collect();
+        if widths.iter().sum::<u32>() > u64::BITS {
+            return None;
         }
-    }
-
-    /// Decode a key into a `Value` coordinate with `Null` don't-cares.
-    fn decode_key(&self, key: &[u32]) -> Coord {
-        key.iter()
-            .enumerate()
-            .map(|(j, &code)| {
-                if code == NO_CODE {
-                    Value::Null
-                } else {
-                    self.cols[j].1.value(code).clone()
+        let mut shifts = vec![0; dims.len()];
+        let mut offset = 0;
+        for j in (0..dims.len()).rev() {
+            shifts[j] = offset;
+            offset += widths[j];
+        }
+        let fields = widths
+            .iter()
+            .zip(&shifts)
+            .map(|(&w, &s)| (u64::MAX >> (u64::BITS - w)) << s)
+            .collect();
+        let by_rank = cols
+            .iter()
+            .map(|(_, dict)| {
+                let mut codes = vec![0; dict.len()];
+                for code in 0..dict.len() as u32 {
+                    codes[dict.rank(code) as usize] = code;
                 }
+                codes
             })
-            .collect()
+            .collect();
+        Some(CodedSpace {
+            dims,
+            cols,
+            shifts,
+            fields,
+            by_rank,
+        })
     }
 }
 
 impl CubeSpace for CodedSpace<'_> {
-    type Elem = u32;
-    type Key = Box<[u32]>;
+    /// A dimension's field, in place.
+    type Elem = u64;
+    type Key = u64;
 
     fn dims(&self) -> &[AttrRef] {
         self.dims
     }
 
-    fn extract(&self, db: &Database, t: &[u32], out: &mut Vec<u32>) -> Result<()> {
+    fn extract(&self, db: &Database, t: &[u32], out: &mut Vec<u64>) -> Result<()> {
         out.clear();
-        for (&a, &(codes, dict)) in self.dims.iter().zip(&self.cols) {
+        for ((&a, &(codes, dict)), &shift) in self.dims.iter().zip(&self.cols).zip(&self.shifts) {
             let code = codes[t[a.rel] as usize];
             if dict.is_null_code(code) {
                 return Err(null_dimension_error(db, a));
             }
-            out.push(code);
+            out.push((u64::from(dict.rank(code)) + 1) << shift);
         }
         Ok(())
     }
 
-    fn full_key(&self, base: &[u32]) -> Box<[u32]> {
-        base.into()
+    fn full_key(&self, base: &[u64]) -> u64 {
+        base.iter().fold(0, |key, &field| key | field)
     }
 
-    fn masked_key(&self, base: &[u32], mask: u32) -> Box<[u32]> {
+    fn masked_key(&self, base: &[u64], mask: u32) -> u64 {
         base.iter()
             .enumerate()
+            .filter(|&(j, _)| mask & (1 << j) != 0)
+            .fold(0, |key, (_, &field)| key | field)
+    }
+
+    fn clear_dim(&self, key: &mut u64, j: usize) {
+        *key &= !self.fields[j];
+    }
+
+    fn cmp_keys(&self, a: &u64, b: &u64) -> Ordering {
+        a.cmp(b)
+    }
+
+    fn level_of(&self, key: &u64) -> usize {
+        self.fields.iter().filter(|&&f| key & f != 0).count()
+    }
+
+    fn decode(&self, key: u64) -> Coord {
+        self.cols
+            .iter()
+            .enumerate()
             .map(
-                |(j, &code)| {
-                    if mask & (1 << j) != 0 {
-                        code
-                    } else {
-                        NO_CODE
-                    }
+                |(j, (_, dict))| match (key & self.fields[j]) >> self.shifts[j] {
+                    0 => Value::Null,
+                    slot => dict.value(self.by_rank[j][slot as usize - 1]).clone(),
                 },
             )
             .collect()
-    }
-
-    fn clear_dim(&self, key: &mut Box<[u32]>, j: usize) {
-        key[j] = NO_CODE;
-    }
-
-    fn cmp_keys(&self, a: &Box<[u32]>, b: &Box<[u32]>) -> Ordering {
-        for (j, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
-            match self.slot_rank(j, x).cmp(&self.slot_rank(j, y)) {
-                Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        Ordering::Equal
-    }
-
-    fn level_of(&self, key: &Box<[u32]>) -> usize {
-        key.iter().filter(|&&code| code != NO_CODE).count()
     }
 }
 
@@ -649,64 +727,76 @@ fn null_dimension_error(db: &Database, a: AttrRef) -> Error {
     }
 }
 
-/// Fold the selected universal tuples into a cell map, one coordinate per
+/// Fold the admitted universal tuples into a cell map, one coordinate per
 /// tuple (`enumerate_masks = false`) or all `2^d` ancestor coordinates
-/// (`enumerate_masks = true`).
+/// (`enumerate_masks = true`). Each tuple is tested against every slot's
+/// selection and folded into the slots that admit it.
 ///
 /// Tuples are processed in fixed [`ACCUM_BLOCK`]-sized blocks and the
 /// per-block maps merged in block order, so both the error reported (the
 /// first failing tuple's, in input order) and the float-addition grouping
-/// are independent of the thread count. Also returns the number of tuples
-/// passing `selection` (summed over blocks in block order, so the count
-/// shares the determinism guarantee).
+/// are independent of the thread count. Blocks run a window of
+/// [`WINDOW_BLOCKS_PER_THREAD`] per thread at a time, merged before the
+/// next window starts, so only one window's maps are alive at once. Also
+/// returns the number of tuples some slot admits (summed over blocks in
+/// block order, so the count shares the determinism guarantee).
 fn accumulate_in<S: CubeSpace>(
     db: &Database,
     u: &Universal,
-    selection: &Selection<'_>,
+    admission: &Admission<'_>,
+    aggs: &[&AggFunc],
     space: &S,
-    agg: &AggFunc,
     exec: &ExecConfig,
     enumerate_masks: bool,
-) -> Result<(HashMap<S::Key, AggState>, u64)> {
+) -> Result<(CellMap<S>, u64)> {
     let d = space.dims().len();
     let store = Arc::clone(db.columns());
-    let agg_eval = agg.compile(&store);
-    let parts = par::try_map_index_blocks(exec, u.len(), ACCUM_BLOCK, |_, range| {
-        let mut cells: HashMap<S::Key, AggState> = HashMap::new();
-        let mut selected: u64 = 0;
-        let mut base: Vec<S::Elem> = Vec::with_capacity(d);
-        for i in range {
-            let t = u.tuple(i);
-            if !selection.eval(db, t) {
-                continue;
-            }
-            selected += 1;
-            space.extract(db, t, &mut base)?;
-            if enumerate_masks {
-                for mask in 0..(1u32 << d) {
-                    let state = cells
-                        .entry(space.masked_key(&base, mask))
-                        .or_insert_with(|| agg_eval.new_state());
-                    agg_eval.update(state, db, t)?;
+    let evals: Vec<AggEval<'_>> = aggs.iter().map(|agg| agg.compile(&store)).collect();
+    let window = ACCUM_BLOCK * WINDOW_BLOCKS_PER_THREAD * exec.threads();
+    let mut acc = CellMap::<S>::default();
+    let mut selected: u64 = 0;
+    for start in (0..u.len()).step_by(window) {
+        let len = window.min(u.len() - start);
+        let parts = par::try_map_index_blocks(exec, len, ACCUM_BLOCK, |_, range| {
+            let mut cells = CellMap::<S>::default();
+            let mut selected: u64 = 0;
+            let mut base: Vec<S::Elem> = Vec::with_capacity(d);
+            let mut admitted: Vec<usize> = Vec::with_capacity(aggs.len());
+            for i in range {
+                let t = u.tuple(start + i);
+                admission.admitted(db, t, &mut admitted);
+                if admitted.is_empty() {
+                    continue;
                 }
-            } else {
-                let state = cells
-                    .entry(space.full_key(&base))
-                    .or_insert_with(|| agg_eval.new_state());
-                agg_eval.update(state, db, t)?;
+                selected += 1;
+                space.extract(db, t, &mut base)?;
+                if enumerate_masks {
+                    for mask in 0..(1u32 << d) {
+                        let key = space.masked_key(&base, mask);
+                        fold_tuple(&mut cells, key, &admitted, &evals, db, t)?;
+                    }
+                } else {
+                    fold_tuple(&mut cells, space.full_key(&base), &admitted, &evals, db, t)?;
+                }
             }
-        }
-        Ok((cells, selected))
-    })?;
-    let mut parts = parts.into_iter();
-    let (mut acc, mut selected) = parts.next().unwrap_or_default();
-    for (part, count) in parts {
-        selected += count;
-        for (coord, state) in part {
-            match acc.get_mut(&coord) {
-                Some(existing) => existing.merge(&state),
-                None => {
-                    acc.insert(coord, state);
+            Ok((cells, selected))
+        })?;
+        for (part, count) in parts {
+            selected += count;
+            for (key, states) in part {
+                match acc.get_mut(&key) {
+                    Some(existing) => {
+                        for (into, from) in existing.iter_mut().zip(states.into_vec()) {
+                            match (into, from) {
+                                (_, None) => {}
+                                (Some(into), Some(from)) => into.merge(&from),
+                                (into, from) => *into = from,
+                            }
+                        }
+                    }
+                    None => {
+                        acc.insert(key, states);
+                    }
                 }
             }
         }
@@ -714,17 +804,37 @@ fn accumulate_in<S: CubeSpace>(
     Ok((acc, selected))
 }
 
+/// Fold tuple `t` into the cell at `key`, in every slot that admits it.
+#[inline]
+fn fold_tuple<K: Eq + Hash>(
+    cells: &mut HashMap<K, SlotStates>,
+    key: K,
+    admitted: &[usize],
+    evals: &[AggEval<'_>],
+    db: &Database,
+    t: &[u32],
+) -> Result<()> {
+    let states = cells
+        .entry(key)
+        .or_insert_with(|| (0..evals.len()).map(|_| None).collect());
+    for &j in admitted {
+        let state = states[j].get_or_insert_with(|| evals[j].new_state());
+        evals[j].update(state, db, t)?;
+    }
+    Ok(())
+}
+
 fn lattice_rollup_in<S: CubeSpace>(
     db: &Database,
     u: &Universal,
-    selection: &Selection<'_>,
+    admission: &Admission<'_>,
+    aggs: &[&AggFunc],
     space: &S,
-    agg: &AggFunc,
     exec: &ExecConfig,
-) -> Result<(HashMap<S::Key, AggState>, u64)> {
+) -> Result<(CellMap<S>, u64)> {
     let d = space.dims().len();
     // Finest-level grouping.
-    let (base_cells, selected) = accumulate_in(db, u, selection, space, agg, exec, false)?;
+    let (base_cells, selected) = accumulate_in(db, u, admission, aggs, space, exec, false)?;
 
     // Roll up level by level (decreasing popcount). Each mask M (≠ full)
     // aggregates from its parent P = M | lowest unset bit, which has
@@ -734,7 +844,7 @@ fn lattice_rollup_in<S: CubeSpace>(
     // order, which fixes the float-addition order no matter how the
     // parent's HashMap happens to be laid out.
     let full = (1u32 << d) - 1;
-    let mut per_mask: Vec<HashMap<S::Key, AggState>> = (0..=full).map(|_| HashMap::new()).collect();
+    let mut per_mask: Vec<CellMap<S>> = (0..=full).map(|_| CellMap::<S>::default()).collect();
     per_mask[full as usize] = base_cells;
 
     for level in (0..d as u32).rev() {
@@ -754,7 +864,7 @@ fn lattice_rollup_in<S: CubeSpace>(
 
     // Flatten. Coordinates are disjoint across masks because no dimension
     // value is null.
-    let mut out = HashMap::new();
+    let mut out = CellMap::<S>::default();
     for m in per_mask {
         out.extend(m);
     }
@@ -762,27 +872,37 @@ fn lattice_rollup_in<S: CubeSpace>(
 }
 
 /// Compute one roll-up mask's cell map from its (read-only) parent level.
+/// Slot by slot, a child merges exactly the parent states a one-slot
+/// roll-up would, in the same order.
 fn rollup_one_mask_in<S: CubeSpace>(
     space: &S,
-    per_mask: &[HashMap<S::Key, AggState>],
+    per_mask: &[CellMap<S>],
     mask: u32,
     d: usize,
-) -> HashMap<S::Key, AggState> {
+) -> CellMap<S> {
     let lowest_unset = (0..d as u32)
         .find(|j| mask & (1 << j) == 0)
         .expect("mask != full");
     let parent = mask | (1 << lowest_unset);
     let parent_cells = &per_mask[parent as usize];
-    let mut entries: Vec<(&S::Key, &AggState)> = parent_cells.iter().collect();
+    let mut entries: Vec<(&S::Key, &SlotStates)> = parent_cells.iter().collect();
     entries.sort_unstable_by(|a, b| space.cmp_keys(a.0, b.0));
-    let mut child: HashMap<S::Key, AggState> = HashMap::with_capacity(parent_cells.len());
-    for (coord, state) in entries {
+    let mut child: CellMap<S> = HashMap::with_capacity(parent_cells.len());
+    for (coord, parent_states) in entries {
         let mut child_coord = coord.clone();
         space.clear_dim(&mut child_coord, lowest_unset as usize);
         match child.get_mut(&child_coord) {
-            Some(existing) => existing.merge(state),
+            Some(existing) => {
+                for (into, from) in existing.iter_mut().zip(parent_states.iter()) {
+                    match (into, from) {
+                        (_, None) => {}
+                        (Some(into), Some(from)) => into.merge(from),
+                        (into, from) => *into = from.clone(),
+                    }
+                }
+            }
             None => {
-                child.insert(child_coord, state.clone());
+                child.insert(child_coord, parent_states.clone());
             }
         }
     }
@@ -794,6 +914,149 @@ mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
     use crate::value::ValueType as T;
+    use proptest::prelude::*;
+
+    /// One relation with an int, a float and a string dimension, each
+    /// drawn from a small pool so coordinates collide and ranks interleave
+    /// with first-appearance codes.
+    fn mixed_db(rows: &[(u8, u8, u8)]) -> Database {
+        const WORDS: [&str; 6] = ["", "b", "ab", "a", "Z", "é"];
+        let schema = SchemaBuilder::new()
+            .relation(
+                "R",
+                &[
+                    ("id", T::Int),
+                    ("i", T::Int),
+                    ("f", T::Float),
+                    ("s", T::Str),
+                ],
+                &["id"],
+            )
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        for (id, &(i, f, s)) in rows.iter().enumerate() {
+            let row = vec![
+                (id as i64).into(),
+                (i64::from(i % 7) - 3).into(),
+                (f64::from(f % 5) * -0.5).into(),
+                WORDS[usize::from(s) % WORDS.len()].into(),
+            ];
+            db.insert("R", row).unwrap();
+        }
+        db
+    }
+
+    proptest! {
+        /// Rank-packed keys sort exactly like their decoded `Value`
+        /// coordinates, at every lattice level, and masking, clearing and
+        /// decoding agree with the `Value` space.
+        #[test]
+        fn packed_keys_sort_like_decoded_coordinates(
+            rows in proptest::collection::vec(any::<(u8, u8, u8)>(), 1..30),
+        ) {
+            let db = mixed_db(&rows);
+            let u = Universal::compute(&db, &db.full_view());
+            let dims: Vec<AttrRef> = ["i", "f", "s"]
+                .iter()
+                .map(|name| db.schema().attr("R", name).unwrap())
+                .collect();
+            let store = Arc::clone(db.columns());
+            let coded = CodedSpace::new(&store, &dims).expect("small dictionaries pack");
+            let values = ValueSpace { dims: &dims };
+            let (mut base, mut value_base) = (Vec::new(), Vec::new());
+            let mut keys: Vec<(u64, Coord)> = Vec::new();
+            for t in u.iter() {
+                coded.extract(&db, t, &mut base).unwrap();
+                values.extract(&db, t, &mut value_base).unwrap();
+                prop_assert_eq!(coded.full_key(&base), coded.masked_key(&base, 0b111));
+                for mask in 0..8u32 {
+                    let key = coded.masked_key(&base, mask);
+                    let coord = values.masked_key(&value_base, mask);
+                    prop_assert_eq!(coded.decode(key), coord.clone());
+                    prop_assert_eq!(coded.level_of(&key), values.level_of(&coord));
+                    for j in 0..dims.len() {
+                        let (mut k, mut c) = (key, coord.clone());
+                        coded.clear_dim(&mut k, j);
+                        values.clear_dim(&mut c, j);
+                        prop_assert_eq!(coded.decode(k), c);
+                    }
+                    keys.push((key, coord));
+                }
+            }
+            for (ka, ca) in &keys {
+                for (kb, cb) in &keys {
+                    prop_assert_eq!(coded.cmp_keys(ka, kb), ca.cmp(cb));
+                }
+            }
+        }
+    }
+
+    /// Every slot of a multi-slot cube is bit-identical to the one-slot
+    /// cube of that slot alone — float sums included — with both
+    /// strategies, in both spaces, at any thread count.
+    #[test]
+    fn slot_cube_matches_separate_cubes() {
+        let schema = SchemaBuilder::new()
+            .relation(
+                "R",
+                &[
+                    ("id", T::Int),
+                    ("g", T::Str),
+                    ("h", T::Int),
+                    ("x", T::Float),
+                ],
+                &["id"],
+            )
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        for i in 0..9_000i64 {
+            let g = format!("g{}", i % 5);
+            let x = (i as f64) * 0.1 + 0.3;
+            db.insert(
+                "R",
+                vec![i.into(), g.as_str().into(), (i % 4).into(), x.into()],
+            )
+            .unwrap();
+        }
+        let u = Universal::compute(&db, &db.full_view());
+        let attr = |name| db.schema().attr("R", name).unwrap();
+        let dims = vec![attr("g"), attr("h")];
+        let g0 = Predicate::eq(attr("g"), "g0");
+        let h3 = Predicate::eq(attr("h"), 3);
+        let slots = [
+            (&Predicate::True, &AggFunc::Sum(attr("x"))),
+            (&g0, &AggFunc::CountDistinct(attr("h"))),
+            (&h3, &AggFunc::Max(attr("x"))),
+            (&Predicate::False, &AggFunc::CountStar),
+        ];
+        for strategy in [CubeStrategy::SubsetEnumeration, CubeStrategy::LatticeRollup] {
+            for threads in [1, 2, 7] {
+                let exec = ExecConfig::with_threads(threads);
+                let fused = compute_slots_with(&db, &u, &slots, &dims, strategy, &exec).unwrap();
+                for (j, (selection, agg)) in slots.iter().enumerate() {
+                    let single =
+                        compute_with(&db, &u, selection, &dims, agg, strategy, &exec).unwrap();
+                    let rows =
+                        compute_rows_with(&db, &u, selection, &dims, agg, strategy, &exec).unwrap();
+                    assert_eq!(single.cells, rows.cells);
+                    for (coord, values) in &fused.cells {
+                        let expected = single.get(coord).unwrap_or(0.0);
+                        assert_eq!(
+                            values[j].to_bits(),
+                            expected.to_bits(),
+                            "slot {j} at {coord:?}"
+                        );
+                    }
+                    // Every cell of a one-slot cube is a cell of the fused one.
+                    assert!(single.cells.keys().all(|c| fused.cells.contains_key(c)));
+                    let total = single.grand_total().unwrap_or(0.0);
+                    assert_eq!(fused.grand_total()[j].to_bits(), total.to_bits());
+                }
+            }
+        }
+    }
 
     /// Example 4.1's database (the Figure 3 instance), cube over
     /// (Author.name, Publication.year) with COUNT(*).

@@ -25,9 +25,9 @@ use std::sync::Arc;
 /// [`ColumnData`](crate::column::ColumnData) for the fallbacks).
 pub const DICT_MAX: usize = 1 << 20;
 
-/// The reserved "no code" sentinel: used for failed cross-dictionary
-/// translations and for the cube's "don't care" coordinate. Safe because a
-/// dictionary never exceeds [`DICT_MAX`] codes.
+/// The reserved "no code" sentinel, used for failed cross-dictionary
+/// translations. Safe because a dictionary never exceeds [`DICT_MAX`]
+/// codes.
 pub const NO_CODE: u32 = u32::MAX;
 
 /// The bulk storage of a [`Dict`]: code → value plus value → code for a

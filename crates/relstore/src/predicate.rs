@@ -217,13 +217,19 @@ impl Predicate {
 
     /// Evaluate against a universal tuple (one row index per relation).
     pub fn eval(&self, db: &Database, utuple: &[u32]) -> bool {
+        self.eval_with(&|a: AttrRef| db.value(a, utuple[a.rel] as usize))
+    }
+
+    /// Evaluate with every attribute read through `value_of`.
+    #[inline]
+    pub(crate) fn eval_with<'v>(&self, value_of: &impl Fn(AttrRef) -> &'v Value) -> bool {
         match self {
             Predicate::True => true,
             Predicate::False => false,
-            Predicate::Atom(a) => a.eval(db, utuple),
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(db, utuple)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.eval(db, utuple)),
-            Predicate::Not(p) => !p.eval(db, utuple),
+            Predicate::Atom(a) => a.op.eval(value_of(a.attr), &a.value),
+            Predicate::And(ps) => ps.iter().all(|p| p.eval_with(value_of)),
+            Predicate::Or(ps) => ps.iter().any(|p| p.eval_with(value_of)),
+            Predicate::Not(p) => !p.eval_with(value_of),
         }
     }
 

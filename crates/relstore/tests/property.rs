@@ -347,8 +347,9 @@ proptest! {
     /// `ColumnStore::compile_predicate` is observationally identical to
     /// `Predicate::eval` on every tuple — masks over dictionary codes,
     /// boolean combinators, and the `True`/`False` constant folding all
-    /// included. This is the exactness the coded cube and `evaluate`
-    /// hot paths rely on.
+    /// included — and so is the lookup table `compile_predicate_set`
+    /// builds from several predicates. This is the exactness the coded
+    /// cube and `evaluate` hot paths rely on.
     #[test]
     fn compiled_predicate_matches_interpreter(
         values in proptest::collection::vec(arb_dict_value(), 1..40),
@@ -393,6 +394,12 @@ proptest! {
             for t in u.iter() {
                 prop_assert_eq!(coded.eval(&db, t), q.eval(&db, t), "{:?} on {:?}", q, t);
             }
+        }
+        // Both at once, as one lookup table: bit j is predicate j.
+        let set = store.compile_predicate_set(&[&p, &folded]).expect("one small coded column");
+        for t in u.iter() {
+            let expected = u64::from(p.eval(&db, t)) | u64::from(folded.eval(&db, t)) << 1;
+            prop_assert_eq!(set.eval(t), expected, "{:?} on {:?}", p, t);
         }
     }
 }

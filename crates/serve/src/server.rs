@@ -855,8 +855,9 @@ fn run_explain(inner: &Inner, params: &QuestionParams) -> Result<(String, Cost),
     let explainer = request_explainer(params, &request_sink);
     let (q_d, table_len, choice, ranked) = {
         let _span = inner.sink.span("server.request.explain");
-        let q_d = explainer.q_d().map_err(|e| e.to_string())?;
         let (table, choice) = explainer.table().map_err(|e| e.to_string())?;
+        // The table's totals are the u_j = q_j(D), so Q(D) costs no scan.
+        let q_d = params.question.query.combine(&table.totals);
         let ranked = explainer
             .top(params.kind, params.top_k)
             .map_err(|e| e.to_string())?;

@@ -188,6 +188,84 @@ fn explain_cold_then_cached_is_byte_identical() {
     assert_eq!(snapshot.counter("server.explain.runs"), 2);
 }
 
+/// One relation whose float column sums differently in input order
+/// (1.0) than grouped by `g` (0.0 + 20.0): a pattern of
+/// `(a, 1e16), (b, 1), (a, -1e16), (b, 1)` repeated ten times.
+fn float_db() -> Database {
+    let schema = SchemaBuilder::new()
+        .relation(
+            "R",
+            &[("id", T::Int), ("g", T::Str), ("x", T::Float)],
+            &["id"],
+        )
+        .build()
+        .unwrap();
+    let mut db = Database::new(schema);
+    for id in 0..40i64 {
+        let (g, x) = [("a", 1e16), ("b", 1.0), ("a", -1e16), ("b", 1.0)][id as usize % 4];
+        db.insert("R", vec![id.into(), g.into(), x.into()]).unwrap();
+    }
+    db
+}
+
+/// The `q_d` a reply reports — taken from the explanation table's totals
+/// — is `Q(D)` evaluated directly, bit for bit, on both engines: COUNT
+/// questions, a sub-query selecting nothing, and SUM/AVG over a float
+/// column (not intervention-additive, so the naive engine answers those
+/// either way).
+#[test]
+fn explain_q_d_equals_direct_evaluation() {
+    let mut catalog = catalog();
+    catalog
+        .insert_database("floats", Arc::new(float_db()), &ExecConfig::sequential())
+        .unwrap();
+    let handle = exq_serve::start(
+        catalog,
+        ServerConfig::default(),
+        exq_obs::MetricsSink::recording(),
+    )
+    .unwrap();
+    let cases = [
+        ("test", "A.g", "agg y = count(*) where ok = 'y'\nagg n = count(*) where ok = 'n'\nexpr y / n\ndir high\nsmoothing 0.0001"),
+        ("test", "A.g", "agg y = count(*) where ok = 'y' and g = 'x'\nagg n = count(*) where ok = 'n'\nagg a = count(*)\nexpr (y + 0.5) / (n * a)\ndir low"),
+        ("test", "A.g", "agg none = count(*) where ok = 'never'\nagg n = count(*) where ok = 'n'\nexpr none / n\ndir high\nsmoothing 0.0001"),
+        ("floats", "R.g", "agg s = sum(x)\nagg n = count(*)\nexpr s / n\ndir high"),
+        ("floats", "R.g", "agg m = avg(x)\nagg s = sum(x) where g = 'b'\nexpr m + s\ndir low"),
+    ];
+    for (dataset, attr, text) in cases {
+        let text = text.replace("\\n", "\n");
+        let db = if dataset == "test" {
+            test_db()
+        } else {
+            float_db()
+        };
+        let question = exq_core::qparse::parse_question(db.schema(), &text).unwrap();
+        let direct = question.query.eval(&db).unwrap();
+        for naive in [false, true] {
+            let body = format!(
+                r#"{{"dataset": "{dataset}", "question": "{}", "attrs": ["{attr}"], "top": 3, "naive": {naive}}}"#,
+                text.replace('\n', "\\n")
+            );
+            let reply = client::post_json(handle.addr(), "/v1/explain", &body).unwrap();
+            assert_eq!(reply.status, 200, "{}", reply.text());
+            let doc = reply.text();
+            let engine = if naive || dataset == "floats" {
+                "Naive"
+            } else {
+                "Cube"
+            };
+            assert!(doc.contains(&format!("\"engine\": \"{engine}\"")), "{doc}");
+            let q_d: f64 = doc
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("\"q_d\": "))
+                .and_then(|v| v.trim_end_matches(',').parse().ok())
+                .unwrap_or_else(|| panic!("no q_d in {doc}"));
+            assert_eq!(q_d.to_bits(), direct.to_bits(), "{text} (naive: {naive})");
+        }
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn report_endpoint_returns_rankings_and_drill() {
     let handle = start(ServerConfig::default());
@@ -652,7 +730,10 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
         .iter()
         .find(|t| t.get("trace_id").and_then(|v| v.as_usize()) == Some(cold_trace as usize))
         .expect("cold request retained");
-    assert_eq!(retained.get("reason").and_then(|v| v.as_str()), Some("slow"));
+    assert_eq!(
+        retained.get("reason").and_then(|v| v.as_str()),
+        Some("slow")
+    );
 
     let snapshot = handle.shutdown();
     // Tenant accounting: both requests billed to the sanitized tenant;
@@ -671,7 +752,9 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
     // every line with tenant and shard.
     let persisted = std::fs::read_to_string(&traces_path).unwrap();
     assert!(
-        persisted.lines().any(|l| l.contains(&format!("\"trace_id\": {cold_trace}"))),
+        persisted
+            .lines()
+            .any(|l| l.contains(&format!("\"trace_id\": {cold_trace}"))),
         "{persisted}"
     );
     let access = std::fs::read_to_string(&access_path).unwrap();

@@ -434,11 +434,18 @@ fn normalize_metrics(text: &str) -> String {
     out
 }
 
-fn fixture(name: &str) -> String {
+/// Compare `got` with the golden fixture `name`; with `EXQ_BLESS` set,
+/// rewrite the fixture instead.
+fn assert_fixture(name: &str, got: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
-    fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    if std::env::var_os("EXQ_BLESS").is_some() {
+        fs::write(&path, got).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        return;
+    }
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(got, expected, "{name} (re-bless with EXQ_BLESS=1)");
 }
 
 fn small_dblp_args(dir: &std::path::Path) -> Vec<String> {
@@ -486,7 +493,7 @@ fn explain_metrics_stdout_matches_golden_fixture() {
         String::from_utf8_lossy(&out.stderr)
     );
     let got = normalize_metrics(&String::from_utf8_lossy(&out.stdout));
-    assert_eq!(got, fixture("explain_metrics.txt"));
+    assert_fixture("explain_metrics.txt", &got);
 }
 
 #[test]
@@ -514,7 +521,7 @@ fn report_metrics_section_matches_golden_fixture() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     let start = text.find("## Metrics").expect("metrics section in report");
-    assert_eq!(&text[start..], fixture("report_metrics.txt"));
+    assert_fixture("report_metrics.txt", &text[start..]);
     // --trace prints the span tree on stderr.
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("spans (wall-clock):"), "{err}");

@@ -312,3 +312,71 @@ fn report_parity_cli_vs_server() {
     assert_eq!(semantic_prefix(&response.text()), semantic_prefix(&cli_doc));
     handle.shutdown();
 }
+
+/// SUM/AVG over a float column, with data whose cube grand total groups
+/// the additions differently from input order: the CLI and `/v1/explain`
+/// report the same `q_d` (the input-order value) and the same ranking.
+#[test]
+fn float_sum_parity_cli_vs_server() {
+    let dir = workdir("floats");
+    fs::write(
+        dir.join("schema.exq"),
+        "relation R(id: int key, g: str, x: float)\n",
+    )
+    .unwrap();
+    // Input order sums x to 1.0; grouped by g it is 0.0 + 20.0.
+    let mut csv = String::from("id,g,x\n");
+    for id in 0..40 {
+        let (g, x) = [("a", 1e16), ("b", 1.0), ("a", -1e16), ("b", 1.0)][id % 4];
+        csv.push_str(&format!("{id},{g},{x:?}\n"));
+    }
+    fs::write(dir.join("R.csv"), csv).unwrap();
+    let question = "agg s = sum(x)\nagg m = avg(x) where g = 'b'\nexpr s + m\ndir high\n";
+    fs::write(dir.join("question.exq"), question).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_exq"))
+        .args([
+            "explain",
+            "--schema",
+            dir.join("schema.exq").to_str().unwrap(),
+            "--table",
+            &format!("R={}", dir.join("R.csv").display()),
+            "--question",
+            dir.join("question.exq").to_str().unwrap(),
+            "--attrs",
+            "R.g",
+            "--top",
+            "5",
+            "--threads",
+            "1",
+            "--format",
+            "json",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "CLI failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let cli_doc = String::from_utf8(output.stdout).unwrap();
+    assert!(cli_doc.contains("\"q_d\": 2,"), "{cli_doc}");
+
+    let mut catalog = Catalog::new();
+    catalog
+        .load_dir("floats", &dir, &ExecConfig::sequential())
+        .unwrap();
+    let handle = exq::serve::start(
+        catalog,
+        ServerConfig::default(),
+        exq::obs::MetricsSink::recording(),
+    )
+    .unwrap();
+    let body = format!(
+        "{{\"dataset\": \"floats\", \"question\": \"{}\", \"attrs\": [\"R.g\"], \"top\": 5}}",
+        exq::obs::escape_json(question)
+    );
+    let response = client::post_json(handle.addr(), "/v1/explain", &body).unwrap();
+    assert_eq!(response.status, 200, "{}", response.text());
+    assert_eq!(semantic_prefix(&response.text()), semantic_prefix(&cli_doc));
+    handle.shutdown();
+}
