@@ -15,15 +15,17 @@
 //! (the front allocates the id and passes it down in `X-Exq-Trace-Id`,
 //! so one trace names the request in both tiers), an `X-Exq-Shard`
 //! response header naming the worker that answered, and the `router.*`
-//! counter family with a front-latency histogram.
+//! counter family with a front-latency histogram. Every request it
+//! answers, including a malformed one it rejects itself, gets a trace
+//! id and one [`RequestRecord`] in the front's access log.
 
 use crate::bucket::TokenBuckets;
 use crate::shard::ShardMap;
-use crate::upstream::{CheckoutError, Upstreams};
+use crate::upstream::{CheckoutError, Lease, Upstreams};
 use exq_obs::{Exemplar, MetricsSink, Snapshot};
-use exq_serve::accesslog::{AccessEntry, AccessLog};
 use exq_serve::client::ClientResponse;
-use exq_serve::http::{Limits, Request, Response};
+use exq_serve::http::{dataset_from_append_path, Limits, Request, Response};
+use exq_serve::record::{self, LineLog, RequestRecord};
 use exq_serve::{json, pump};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -81,7 +83,7 @@ pub struct FrontConfig {
     /// Structured access log destination (same line shape as the
     /// workers', with `shard` naming the worker that answered).
     /// Defaults to disabled.
-    pub access_log: AccessLog,
+    pub access_log: LineLog,
 }
 
 impl Default for FrontConfig {
@@ -96,7 +98,7 @@ impl Default for FrontConfig {
             request_timeout: Duration::from_secs(10),
             limits: Limits::default(),
             datasets: Vec::new(),
-            access_log: AccessLog::disabled(),
+            access_log: LineLog::default(),
         }
     }
 }
@@ -130,7 +132,6 @@ impl Front {
         sink: MetricsSink,
     ) -> std::io::Result<Front> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         for counter in ROUTER_COUNTERS {
             sink.add(counter, 0);
@@ -222,63 +223,50 @@ fn serve_one(inner: &FrontInner, stream: &mut TcpStream, carry: &mut Vec<u8>) ->
             // already sent) and hands it to the worker, so both tiers
             // log the same id for one request — and stamps it onto its
             // own trace events for the merged Chrome timeline.
-            let trace_id = request
-                .header("x-exq-trace-id")
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&id| id > 0)
-                .unwrap_or_else(|| inner.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
+            let trace_id = record::trace_id(Some(&request), &inner.next_trace);
             inner.sink.set_trace(trace_id);
             let response = {
                 let _span = inner.sink.span("router.request");
                 route(inner, &request, trace_id)
-            }
-            .with_header("x-exq-trace-id", &trace_id.to_string());
+            };
             (Some(request), response, trace_id)
         }
         Ok(None) => return false,
-        Err(response) => (None, response, 0),
+        // A request the front itself rejects still gets its own id.
+        Err(response) => (None, response, record::trace_id(None, &inner.next_trace)),
     };
+    let response = response.with_header("x-exq-trace-id", &trace_id.to_string());
     match response.status {
         200 => inner.sink.incr("router.responses.ok"),
         400..=499 => inner.sink.incr("router.responses.client_error"),
         _ => inner.sink.incr("router.responses.server_error"),
     }
-    let keep_alive = request.as_ref().is_some_and(|r| {
-        r.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
-    }) && response.status != 408
-        && !inner.shutdown.load(Ordering::SeqCst);
+    let keep_alive = pump::keep_alive(request.as_ref(), response.status, &inner.shutdown);
     let written = stream
         .write_all(&response.to_bytes_with(keep_alive))
         .and_then(|()| stream.flush());
     let latency = started.elapsed();
     inner.sink.observe_duration("router.latency.front", latency);
-    if inner.config.access_log.is_enabled() {
-        let header_of = |name: &str| {
-            response
-                .extra_headers
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.as_str())
-        };
-        // The worker that answered, as stamped by the proxy; the cache
-        // outcome rides in the `X-Exq-Cost` header it copied through.
-        let shard = header_of("x-exq-shard").and_then(|v| v.parse::<u64>().ok());
-        let cache = header_of("x-exq-cost")
+    // The worker that answered, as stamped by the proxy; the cache
+    // outcome rides in the `X-Exq-Cost` header it copied through.
+    let header_of = |name: &str| {
+        response
+            .extra_headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    };
+    inner.config.access_log.record(&RequestRecord {
+        shard: header_of("x-exq-shard").and_then(|v| v.parse().ok()),
+        cache: match header_of("x-exq-cost")
             .and_then(|v| v.split(';').find_map(|kv| kv.strip_prefix("cache=")))
-            .unwrap_or("-");
-        inner.config.access_log.record(&AccessEntry {
-            tenant: request.as_ref().and_then(|r| r.header("x-exq-tenant")),
-            shard,
-            endpoint: request
-                .as_ref()
-                .map_or("-", |r| r.path.split_once('?').map_or(r.path.as_str(), |(p, _)| p)),
-            status: response.status,
-            latency_ns: u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX),
-            trace_id,
-            cache,
-        });
-    }
+        {
+            Some("hit") => "hit",
+            Some("miss") => "miss",
+            _ => "-",
+        },
+        ..RequestRecord::new(request.as_ref(), trace_id, response.status, latency)
+    });
     keep_alive && written.is_ok()
 }
 
@@ -359,11 +347,16 @@ fn dataset_from_body(body: &[u8]) -> Option<String> {
     doc.get("dataset")?.as_str().map(str::to_string)
 }
 
-/// The `{name}` of `/v1/datasets/{name}/rows`.
-fn dataset_from_append_path(path: &str) -> Option<&str> {
-    path.strip_prefix("/v1/datasets/")
-        .and_then(|rest| rest.strip_suffix("/rows"))
-        .filter(|name| !name.is_empty() && !name.contains('/'))
+/// Check out a pooled connection to `shard`'s worker, counting whether
+/// it was reused or freshly dialed.
+fn checkout(inner: &FrontInner, shard: usize) -> Result<Lease, CheckoutError> {
+    let lease = inner.upstreams.checkout(shard)?;
+    inner.sink.incr(if lease.was_pooled() {
+        "router.upstream.reuses"
+    } else {
+        "router.upstream.connects"
+    });
+    Ok(lease)
 }
 
 /// Forward `request` to `shard`'s worker and convert the reply. Any
@@ -371,7 +364,7 @@ fn dataset_from_append_path(path: &str) -> Option<&str> {
 /// supervisor is restarting it, and clients already speak that dialect
 /// — never a hang and never a made-up answer.
 fn proxy(inner: &FrontInner, request: &Request, shard: usize, trace_id: u64) -> Response {
-    let mut lease = match inner.upstreams.checkout(shard) {
+    let mut lease = match checkout(inner, shard) {
         Ok(lease) => lease,
         Err(CheckoutError::Down) => {
             return Response::error(503, "shard worker unavailable; retry shortly")
@@ -382,11 +375,6 @@ fn proxy(inner: &FrontInner, request: &Request, shard: usize, trace_id: u64) -> 
                 .with_header("retry-after", "1");
         }
     };
-    inner.sink.incr(if lease.was_pooled() {
-        "router.upstream.reuses"
-    } else {
-        "router.upstream.connects"
-    });
     let trace = trace_id.to_string();
     // Forward the tenant too: the worker's per-tenant cost accounting
     // keys off the same header the front's admission control uses.
@@ -451,18 +439,13 @@ fn convert(upstream: ClientResponse, shard: usize) -> Response {
 fn merged_datasets(inner: &FrontInner, trace_id: u64) -> Response {
     let mut entries: Vec<(String, String)> = Vec::new();
     for shard in 0..inner.shards.workers() {
-        let mut lease = match inner.upstreams.checkout(shard) {
+        let mut lease = match checkout(inner, shard) {
             Ok(lease) => lease,
             Err(_) => {
                 return Response::error(503, "shard worker unavailable; retry shortly")
                     .with_header("retry-after", "1");
             }
         };
-        inner.sink.incr(if lease.was_pooled() {
-            "router.upstream.reuses"
-        } else {
-            "router.upstream.connects"
-        });
         let trace = trace_id.to_string();
         let fetched =
             lease
@@ -481,10 +464,12 @@ fn merged_datasets(inner: &FrontInner, trace_id: u64) -> Response {
                     .with_header("retry-after", "1");
             }
         };
-        for line in body.lines() {
-            if let Some(rest) = line.strip_prefix("    { \"name\": \"") {
-                let name = json_string_prefix(rest);
-                entries.push((name, line.trim_end_matches(',').to_string()));
+        // One entry per line; the other lines of the document are
+        // brackets that do not parse on their own.
+        for line in body.lines().map(|line| line.trim_end_matches(',')) {
+            let entry = json::parse(line.as_bytes()).ok();
+            if let Some(name) = entry.as_ref().and_then(|e| e.get("name")?.as_str()) {
+                entries.push((name.to_string(), line.to_string()));
             }
         }
     }
@@ -515,12 +500,7 @@ fn fetch_from_worker(
     path: &str,
     trace_id: u64,
 ) -> Result<String, ()> {
-    let mut lease = inner.upstreams.checkout(shard).map_err(|_| ())?;
-    inner.sink.incr(if lease.was_pooled() {
-        "router.upstream.reuses"
-    } else {
-        "router.upstream.connects"
-    });
+    let mut lease = checkout(inner, shard).map_err(|_| ())?;
     let trace = trace_id.to_string();
     let fetched = lease
         .conn
@@ -575,7 +555,9 @@ fn fleet_snapshot(inner: &FrontInner, trace_id: u64) -> (Snapshot, Vec<(usize, E
     let mut tagged = Vec::new();
     for (shard, snapshot, exemplars) in scraped {
         for (name, value) in &snapshot.counters {
-            fleet.counters.insert(format!("{name}.shard.{shard}"), *value);
+            fleet
+                .counters
+                .insert(format!("{name}.shard.{shard}"), *value);
         }
         fleet.merge(&snapshot);
         tagged.extend(exemplars.into_iter().map(|e| (shard, e)));
@@ -598,8 +580,8 @@ fn fleet_prometheus(inner: &FrontInner, trace_id: u64) -> String {
 /// Debug fan-in (`/v1/debug/requests`, `/v1/debug/traces`): each live
 /// worker's document embedded verbatim under its shard id, downed
 /// shards counted in `"partial"` (and `router.scrape.partial`). Always
-/// answers 200 — a half-degraded fleet is exactly when the flight
-/// recorders are most wanted.
+/// answers 200 — a half-degraded fleet is exactly when the request
+/// records are most wanted.
 fn merged_debug(inner: &FrontInner, path: &str, trace_id: u64) -> Response {
     use std::fmt::Write as _;
     let mut shard_docs: Vec<(usize, String)> = Vec::new();
@@ -630,37 +612,6 @@ fn merged_debug(inner: &FrontInner, path: &str, trace_id: u64) -> Response {
         "\n  }\n}\n"
     });
     Response::json(200, out)
-}
-
-/// The decoded content of a JSON string whose opening quote was already
-/// consumed: scan to the closing quote (backslash-escape aware) and
-/// unescape. Used to sort merged catalog entries by their *actual*
-/// dataset name, matching the BTreeMap order a single process uses.
-fn json_string_prefix(rest: &str) -> String {
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => break,
-            '\\' => match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if let Some(decoded) =
-                        u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32)
-                    {
-                        out.push(decoded);
-                    }
-                }
-                Some(other) => out.push(other),
-                None => break,
-            },
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 /// The front's `GET /v1/health`: topology at a glance — worker count,
@@ -874,7 +825,8 @@ mod tests {
             assert!(text.contains(family), "missing {family} in {text}");
         }
         assert!(
-            text.lines().any(|l| l.starts_with("# exemplar ") && l.contains("shard=\"")),
+            text.lines()
+                .any(|l| l.starts_with("# exemplar ") && l.contains("shard=\"")),
             "no shard-tagged exemplar comment in {text}"
         );
 
@@ -996,6 +948,47 @@ mod tests {
         let snapshot = front.shutdown();
         assert_eq!(snapshot.counter("router.throttled"), 1);
         assert_eq!(served.load(Ordering::SeqCst), 2);
+    }
+
+    /// A request the front rejects itself (here a 400 for a garbled
+    /// request line) still gets a fresh trace id, on the wire and in
+    /// the access log.
+    #[test]
+    fn front_rejected_requests_carry_a_trace_id() {
+        let dir = std::env::temp_dir().join(format!("exq-front-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let log_path = dir.join("access.log");
+        let front = front_with(
+            FrontConfig {
+                access_log: LineLog::open(&log_path).unwrap(),
+                ..FrontConfig::default()
+            },
+            None,
+        );
+        let mut stream = TcpStream::connect(front.addr()).unwrap();
+        stream.write_all(b"NOT AN HTTP REQUEST\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        let _ = stream.read_to_string(&mut reply);
+        front.shutdown();
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        let trace: u64 = reply
+            .lines()
+            .find_map(|line| {
+                let (name, value) = line.split_once(':')?;
+                name.eq_ignore_ascii_case("x-exq-trace-id")
+                    .then(|| value.trim().parse().ok())?
+            })
+            .unwrap_or_else(|| panic!("no trace id in {reply}"));
+        assert!(trace > 0);
+        let log = std::fs::read_to_string(&log_path).unwrap();
+        let line = json::parse(log.lines().next().unwrap().as_bytes()).unwrap();
+        assert_eq!(
+            line.get("trace_id").and_then(|v| v.as_usize()),
+            Some(trace as usize)
+        );
+        assert_eq!(line.get("status").and_then(|v| v.as_usize()), Some(400));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -95,6 +95,14 @@ impl Request {
     }
 }
 
+/// The `{name}` of `/v1/datasets/{name}/rows`, the one parameterized
+/// route. The worker and the router front both match it through here.
+pub fn dataset_from_append_path(path: &str) -> Option<&str> {
+    path.strip_prefix("/v1/datasets/")
+        .and_then(|rest| rest.strip_suffix("/rows"))
+        .filter(|name| !name.is_empty() && !name.contains('/'))
+}
+
 /// Try to parse one request from the front of `buf`.
 ///
 /// * `Ok(Some((request, consumed)))` — a complete request occupies

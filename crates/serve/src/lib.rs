@@ -15,7 +15,8 @@
 //!   encodings of [`key`] (a cache-hit `POST /v1/explain` is a hash
 //!   lookup plus a memcpy);
 //! * a std-only HTTP/1.1 server ([`server`]) — hand-rolled parser
-//!   ([`http`]), thread-per-connection worker pool, bounded accept
+//!   ([`http`]), a blocking accept thread feeding a thread-per-connection
+//!   worker pool ([`pump`]), bounded accept
 //!   queue with `503` + `Retry-After` backpressure, per-request read
 //!   timeouts, opt-in keep-alive (a client sending `Connection:
 //!   keep-alive` — the router front, the CLI batch client — keeps its
@@ -25,9 +26,13 @@
 //!   the cache is dumped at shutdown and reloaded (epoch-filtered) at
 //!   boot ([`persist`]) so restarts start warm.
 //!
+//! Every answered request becomes one [`record::RequestRecord`], which
+//! feeds the last-N ring, the retention of errors and slow requests,
+//! and the access log ([`record`]).
+//!
 //! Endpoints (JSON unless noted, same document shapes as
 //! `exq --format json`; every response carries an `X-Exq-Trace-Id`
-//! header identifying the request in the flight recorder):
+//! header naming the request's record):
 //!
 //! | Route | Meaning |
 //! |---|---|
@@ -37,8 +42,8 @@
 //! | `GET /v1/datasets` | catalog listing with tuple counts and epochs |
 //! | `GET /v1/metrics`  | live counters/spans/histograms snapshot (`?format=prometheus` for text exposition, `?format=snapshot` for the mergeable wire encoding) |
 //! | `GET /metrics`     | Prometheus text exposition 0.0.4 (scrape target), exemplar comments included |
-//! | `GET /v1/debug/requests` | flight recorder: last N request summaries |
-//! | `GET /v1/debug/traces` | tail-sampled retention: slow/error traces kept past the ring ([`retain`]) |
+//! | `GET /v1/debug/requests` | the last N request records, each with its `seq` |
+//! | `GET /v1/debug/traces` | retained records: errors and slow requests, with `reason`, `hist` and `bucket_upper` |
 //! | `GET /healthz`     | liveness probe |
 //! | `GET /v1/health`   | worker identity: shard id, dataset epochs, cache occupancy |
 //!
@@ -47,23 +52,19 @@
 
 #![warn(missing_docs)]
 
-pub mod accesslog;
 pub mod cache;
 pub mod catalog;
 pub mod client;
-pub mod flight;
 pub mod http;
 pub mod json;
 pub mod key;
 pub mod persist;
 pub mod pump;
-pub mod retain;
+pub mod record;
 pub mod server;
 pub mod signal;
 
-pub use accesslog::{AccessEntry, AccessLog};
 pub use cache::ResultCache;
 pub use catalog::{Catalog, Dataset};
-pub use flight::{FlightRecorder, RequestSummary};
-pub use retain::{RetainedTrace, TraceRetention};
+pub use record::{LineLog, RequestLog, RequestRecord};
 pub use server::{start, start_on, Handle, ServerConfig, INGEST_COUNTERS, SERVER_COUNTERS};

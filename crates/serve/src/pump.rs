@@ -2,17 +2,18 @@
 //!
 //! Both tiers of the serving stack — the dataset server ([`crate::server`])
 //! and the router front (`exq-router`) — move connections the same way:
-//! one nonblocking accept thread pushes sockets into a bounded queue,
-//! `threads` workers pop and serve them to completion, and a full queue
-//! answers an immediate rejection (load shedding) instead of letting
-//! latency grow unbounded. This module is that machinery, factored out
-//! so the two tiers cannot drift apart; what *serving a connection*
-//! means is the caller's closure.
+//! one accept thread blocks in `accept` and pushes sockets into a
+//! bounded queue, `threads` workers pop and serve them to completion,
+//! and a full queue answers an immediate rejection (load shedding)
+//! instead of letting latency grow unbounded. Shutdown wakes the
+//! blocked accept by connecting to the listener itself. This module is
+//! that machinery, factored out so the two tiers cannot drift apart;
+//! what *serving a connection* means is the caller's closure.
 
 use crate::http::{self, Limits, Request, Response};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -39,13 +40,20 @@ struct Shared {
 /// connections.
 pub struct Pump {
     shared: Arc<Shared>,
+    /// Where a connection reaches the listener: its own address, with
+    /// an unspecified bind address replaced by loopback.
+    wake: SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Pump {
-    /// Wake any parked workers and join every thread. The caller must
-    /// have stored `true` into the shutdown flag first.
+    /// Wake the accept thread and any parked workers, then join every
+    /// thread. The caller must have stored `true` into the shutdown
+    /// flag first. The accept thread sees the flag once `accept`
+    /// returns, which the wake connection makes happen; it drops that
+    /// connection unqueued.
     pub fn join(self) {
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
         self.shared.cv.notify_all();
         for t in self.threads {
             let _ = t.join();
@@ -53,9 +61,9 @@ impl Pump {
     }
 }
 
-/// Start the accept thread and worker pool over `listener` (which must
-/// already be nonblocking). `on_reject` answers connections shed at a
-/// full queue; `serve` owns everything else.
+/// Start the accept thread and worker pool over a blocking `listener`.
+/// `on_reject` answers connections shed at a full queue; `serve` owns
+/// everything else.
 pub fn start(
     listener: TcpListener,
     options: &PumpOptions,
@@ -63,6 +71,13 @@ pub fn start(
     on_reject: impl Fn(TcpStream) + Send + Sync + 'static,
     serve: impl Fn(TcpStream) + Send + Sync + 'static,
 ) -> std::io::Result<Pump> {
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
     let shared = Arc::new(Shared {
         queue: Mutex::new(VecDeque::new()),
         cv: Condvar::new(),
@@ -88,38 +103,29 @@ pub fn start(
                 .spawn(move || worker_loop(&shared, &*serve))?,
         );
     }
-    Ok(Pump { shared, threads })
+    Ok(Pump {
+        shared,
+        wake,
+        threads,
+    })
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Shared, on_reject: &impl Fn(TcpStream)) {
-    // Adaptive poll: the listener is nonblocking (so shutdown can
-    // interrupt the loop), which makes the nap below a floor on request
-    // latency. Poll hot for ~50ms after the last connection so a busy
-    // server answers in microseconds, then back off to 5ms when idle.
-    let mut idle_polls = 0u32;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                idle_polls = 0;
-                let mut queue = shared.queue.lock().expect("conn queue poisoned");
-                if queue.len() >= shared.depth {
-                    drop(queue);
-                    on_reject(stream);
-                } else {
-                    queue.push_back(stream);
-                    drop(queue);
-                    shared.cv.notify_one();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                idle_polls = idle_polls.saturating_add(1);
-                std::thread::sleep(if idle_polls < 256 {
-                    Duration::from_micros(200)
-                } else {
-                    Duration::from_millis(5)
-                });
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return; // the wake connection, or one racing it: dropped
+        }
+        let Ok(stream) = stream else {
+            continue; // e.g. a peer that reset before we accepted it
+        };
+        let mut queue = shared.queue.lock().expect("conn queue poisoned");
+        if queue.len() >= shared.depth {
+            drop(queue);
+            on_reject(stream);
+        } else {
+            queue.push_back(stream);
+            drop(queue);
+            shared.cv.notify_one();
         }
     }
 }
@@ -184,6 +190,17 @@ pub fn serve_connection(
     let mut carry = Vec::with_capacity(1024);
     while serve_one(&mut stream, &mut carry) {}
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Whether the connection stays open after answering `request` with
+/// `status`: only when the client asked for keep-alive, the answer is
+/// not a read timeout, and shutdown has not begun.
+pub fn keep_alive(request: Option<&Request>, status: u16, shutdown: &AtomicBool) -> bool {
+    request.is_some_and(|r| {
+        r.header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
+    }) && status != 408
+        && !shutdown.load(Ordering::SeqCst)
 }
 
 /// Accumulate bytes in `carry` until one full request parses, then

@@ -1,7 +1,8 @@
 //! The HTTP server: accept loop, bounded worker pool, request routing.
 //!
-//! Threading model: one nonblocking accept thread pushes connections
-//! into a bounded queue; `threads` workers pop and serve a connection
+//! Threading model: one accept thread, blocked in `accept`, pushes
+//! connections into a bounded queue ([`crate::pump`]); `threads`
+//! workers pop and serve a connection
 //! to completion — one request by default, or a whole keep-alive
 //! session when the client asks for one (so a persistent connection
 //! pins a worker thread: peers that hold many open connections, like
@@ -9,33 +10,37 @@
 //! When the queue is full the accept thread answers
 //! `503` + `Retry-After` immediately instead of letting latency grow
 //! unbounded (load-shedding backpressure). Shutdown is cooperative: a
-//! flag stops the accept loop, workers drain the queue and finish
-//! in-flight requests, and [`Handle::shutdown`] joins everything and
-//! returns the final metrics snapshot for the caller to flush.
+//! flag plus a self-connect wakes and stops the accept loop, workers
+//! drain the queue and finish in-flight requests, and
+//! [`Handle::shutdown`] joins everything and returns the final metrics
+//! snapshot for the caller to flush.
+//!
+//! Each answered request becomes one [`RequestRecord`], fed to the
+//! server's [`RequestLog`]: the last-N ring, the retention of errors
+//! and slow requests, and the access log.
 //!
 //! Request handlers run the explanation pipeline **sequentially** per
 //! request — parallelism comes from serving many requests at once, and
 //! results are bit-identical at every thread count anyway (the PR 2
 //! contract), which is what makes the response cache sound.
 
-use crate::accesslog::{AccessEntry, AccessLog};
 use crate::cache::ResultCache;
 use crate::catalog::{Catalog, Dataset};
-use crate::flight::FlightRecorder;
-use crate::retain::TraceRetention;
 use crate::http::{Limits, Request, Response};
 use crate::json::Json;
 use crate::key::{cache_key, CanonicalRequest};
 use crate::pump;
+use crate::record::{self, LineLog, RequestLog, RequestRecord};
 use exq_core::jsonout;
 use exq_core::prelude::*;
 use exq_core::qparse;
 use exq_core::report::ReportConfig;
 use exq_obs::{MetricsSink, Snapshot};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Every `server.*` counter the server records, in one place so they
@@ -90,9 +95,6 @@ pub struct ServerConfig {
     pub request_timeout: Duration,
     /// HTTP parser limits (head/body size, header count).
     pub limits: Limits,
-    /// Flight-recorder depth: how many recent request summaries
-    /// `GET /v1/debug/requests` retains.
-    pub flight_capacity: usize,
     /// Which router shard this process serves, if any. Surfaced by
     /// `GET /v1/health` so the front (and CI) can verify the topology.
     pub shard_id: Option<u64>,
@@ -102,16 +104,16 @@ pub struct ServerConfig {
     /// back on shutdown, so a rolling restart does not stampede the
     /// cold explain path.
     pub cache_persist: Option<std::path::PathBuf>,
-    /// Static slow-trace threshold in milliseconds. Requests at or over
-    /// it are retained by the tail sampler ([`crate::retain`]); `None`
-    /// selects the adaptive policy (above the endpoint's own p99 bucket
-    /// bound, once armed).
+    /// Static slow-request threshold in milliseconds. Requests at or
+    /// over it are retained ([`crate::record`]); `None` selects the
+    /// adaptive policy (above the endpoint's own p99 bucket bound, once
+    /// armed).
     pub trace_slow_ms: Option<u64>,
-    /// Where retained traces are appended as JSONL (the CLI points this
-    /// into `--state-dir`); `None` keeps them in memory only.
+    /// Where retained records are appended as JSON lines (the CLI points
+    /// this into `--state-dir`); `None` keeps them in memory only.
     pub trace_retain: Option<std::path::PathBuf>,
     /// Structured access log destination. Defaults to disabled.
-    pub access_log: AccessLog,
+    pub access_log: LineLog,
 }
 
 impl Default for ServerConfig {
@@ -122,12 +124,11 @@ impl Default for ServerConfig {
             queue_depth: 64,
             request_timeout: Duration::from_secs(10),
             limits: Limits::default(),
-            flight_capacity: 128,
             shard_id: None,
             cache_persist: None,
             trace_slow_ms: None,
             trace_retain: None,
-            access_log: AccessLog::disabled(),
+            access_log: LineLog::default(),
         }
     }
 }
@@ -138,11 +139,13 @@ struct Inner {
     sink: MetricsSink,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
-    flight: FlightRecorder,
-    /// Tail-sampling policy: which traces outlive the flight ring.
-    retention: TraceRetention,
+    /// Every answered request's record: last N, retained, access log.
+    requests: RequestLog,
     /// Monotone per-request trace-id allocator (first request gets 1).
     next_trace: AtomicU64,
+    /// Sanitized tenants with their own cost counters, at most
+    /// [`MAX_TRACKED_TENANTS`].
+    tenants: Mutex<BTreeSet<String>>,
 }
 
 /// A running server. Dropping the handle without calling
@@ -165,11 +168,11 @@ impl Handle {
         self.inner.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The flight recorder's current contents as the same JSON document
+    /// The last N request records as the same JSON document
     /// `GET /v1/debug/requests` serves. The CLI dumps this next to the
     /// final metrics snapshot on SIGTERM.
     pub fn recent_requests_json(&self) -> String {
-        self.inner.flight.to_json()
+        self.inner.requests.recent_json()
     }
 
     /// Stop accepting, drain queued and in-flight requests, join all
@@ -235,19 +238,26 @@ pub fn start_on(
     sink: MetricsSink,
 ) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     for counter in SERVER_COUNTERS.iter().chain(INGEST_COUNTERS) {
         sink.add(counter, 0);
     }
+    let retained_file = match &config.trace_retain {
+        Some(path) => LineLog::open(path)?,
+        None => LineLog::default(),
+    };
     let shutdown = Arc::new(AtomicBool::new(false));
     let inner = Arc::new(Inner {
         cache: ResultCache::new(config.cache_bytes, config.threads.max(1) * 2, sink.clone()),
         catalog,
         sink,
-        flight: FlightRecorder::new(config.flight_capacity),
-        retention: TraceRetention::new(config.trace_slow_ms, config.trace_retain.clone()),
+        requests: RequestLog::new(
+            config.trace_slow_ms,
+            retained_file,
+            config.access_log.clone(),
+        ),
         next_trace: AtomicU64::new(0),
+        tenants: Mutex::new(BTreeSet::new()),
         shutdown: Arc::clone(&shutdown),
         config: config.clone(),
     });
@@ -288,8 +298,9 @@ pub fn start_on(
 
 /// Read one request (within the timeout budget), route it, write the
 /// response (stamped with its `X-Exq-Trace-Id`), record latency into
-/// the per-endpoint histogram and the flight recorder. Returns whether
-/// the connection should be kept open for another request.
+/// the per-endpoint histogram and the request's record into the
+/// [`RequestLog`]. Returns whether the connection should be kept open
+/// for another request.
 // exq-lint: allow(L006): shares only the read-one/write-one shape with the front's serve_one; the common machinery lives in pump, the rest is worker-only routing
 fn serve_one(inner: &Inner, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool {
     // exq-lint: allow(L002): HTTP timeout/latency bookkeeping, never reaches explanation results
@@ -304,17 +315,12 @@ fn serve_one(inner: &Inner, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool
     );
     let (request, response, meta, trace_id) = match read {
         Ok(Some(request)) => {
-            // Trace ids are normally allocated here, but a front tier
-            // that already assigned one passes it down in
-            // `x-exq-trace-id` so one trace identifies the request
-            // across both tiers — stamped onto trace events too, so a
+            // A front tier that already assigned a trace id passes it
+            // down in `x-exq-trace-id`, so one id names the request on
+            // both tiers. It is stamped onto trace events too, so a
             // merged Chrome trace correlates the front's span with the
             // worker's.
-            let trace_id = request
-                .header("x-exq-trace-id")
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&id| id > 0)
-                .unwrap_or_else(|| inner.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
+            let trace_id = record::trace_id(Some(&request), &inner.next_trace);
             inner.sink.set_trace(trace_id);
             let (response, meta) = {
                 let _span = inner.sink.span("server.request");
@@ -327,14 +333,10 @@ fn serve_one(inner: &Inner, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool
             None,
             response,
             RouteMeta::other(),
-            inner.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
+            record::trace_id(None, &inner.next_trace),
         ),
     };
-    let keep_alive = request.as_ref().is_some_and(|r| {
-        r.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
-    }) && response.status != 408
-        && !inner.shutdown.load(Ordering::SeqCst);
+    let keep_alive = pump::keep_alive(request.as_ref(), response.status, &inner.shutdown);
     let response = response.with_header("x-exq-trace-id", &trace_id.to_string());
     match response.status {
         200 => inner.sink.incr("server.responses.ok"),
@@ -345,36 +347,17 @@ fn serve_one(inner: &Inner, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool
         .write_all(&response.to_bytes_with(keep_alive))
         .and_then(|()| stream.flush());
     let latency = started.elapsed();
-    inner
-        .sink
-        .observe_duration(meta.latency_histogram(), latency);
-    let latency_ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
-    let (method, path) = match &request {
-        Some(r) => (r.method.as_str(), r.path.as_str()),
-        None => ("-", "-"),
+    let hist = meta.latency_histogram();
+    inner.sink.observe_duration(hist, latency);
+    let record = RequestRecord {
+        shard: inner.config.shard_id,
+        endpoint: meta.endpoint.to_owned(),
+        cache: meta.cache,
+        ..RequestRecord::new(request.as_ref(), trace_id, response.status, latency)
     };
-    inner
-        .flight
-        .record(trace_id, method, path, response.status, latency_ns, meta.cache);
-    if inner.retention.observe(
-        trace_id,
-        method,
-        path,
-        response.status,
-        latency_ns,
-        meta.latency_histogram(),
-    ) {
+    if inner.requests.record(&record, hist) {
         inner.sink.incr("server.trace.retained");
     }
-    inner.config.access_log.record(&AccessEntry {
-        tenant: request.as_ref().and_then(|r| r.header("x-exq-tenant")),
-        shard: inner.config.shard_id,
-        endpoint: meta.endpoint,
-        status: response.status,
-        latency_ns,
-        trace_id,
-        cache: meta.cache,
-    });
     keep_alive && written.is_ok()
 }
 
@@ -420,11 +403,7 @@ fn route(inner: &Inner, request: &Request) -> (Response, RouteMeta) {
     };
     // `POST /v1/datasets/{name}/rows` — the only parameterized path, so
     // it gets a prefix match ahead of the exact-path table.
-    if let Some(name) = path
-        .strip_prefix("/v1/datasets/")
-        .and_then(|rest| rest.strip_suffix("/rows"))
-        .filter(|name| !name.is_empty() && !name.contains('/'))
-    {
+    if let Some(name) = crate::http::dataset_from_append_path(path) {
         return match request.method.as_str() {
             "POST" => handle_append(inner, request, name),
             _ => (
@@ -460,10 +439,7 @@ fn route(inner: &Inner, request: &Request) -> (Response, RouteMeta) {
                 // router front scrapes and merges into the fleet view.
                 Response::text(
                     200,
-                    exq_obs::encode_snapshot(
-                        &inner.sink.snapshot(),
-                        &inner.retention.exemplars(),
-                    ),
+                    exq_obs::encode_snapshot(&inner.sink.snapshot(), &inner.requests.exemplars()),
                 )
             } else {
                 Response::json(200, inner.sink.snapshot().to_json() + "\n")
@@ -471,11 +447,11 @@ fn route(inner: &Inner, request: &Request) -> (Response, RouteMeta) {
             (response, RouteMeta::uncached("metrics"))
         }
         ("GET", "/v1/debug/requests") => (
-            Response::json(200, inner.flight.to_json() + "\n"),
+            Response::json(200, inner.requests.recent_json() + "\n"),
             RouteMeta::uncached("debug"),
         ),
         ("GET", "/v1/debug/traces") => (
-            Response::json(200, inner.retention.to_json() + "\n"),
+            Response::json(200, inner.requests.retained_json() + "\n"),
             RouteMeta::uncached("debug"),
         ),
         ("POST", "/v1/explain") => handle_question(inner, request, Endpoint::Explain),
@@ -499,7 +475,7 @@ fn route(inner: &Inner, request: &Request) -> (Response, RouteMeta) {
 /// text, so scrapers that don't understand exemplars ignore them.
 fn prometheus_doc(inner: &Inner) -> String {
     let mut text = inner.sink.snapshot().to_prometheus();
-    for exemplar in inner.retention.exemplars() {
+    for exemplar in inner.requests.exemplars() {
         text.push_str(&exemplar.to_prometheus_comment(inner.config.shard_id));
         text.push('\n');
     }
@@ -575,7 +551,7 @@ impl Cost {
     }
 
     /// The JSON object spliced into the response document.
-    fn to_json(&self, cache: &str, epoch: u64) -> String {
+    fn to_json(self, cache: &str, epoch: u64) -> String {
         format!(
             "{{ \"rows_scanned\": {}, \"candidates\": {}, \"cube_cells\": {}, \
              \"cache\": \"{cache}\", \"epoch\": {epoch} }}",
@@ -584,7 +560,7 @@ impl Cost {
     }
 
     /// The `X-Exq-Cost` header value: same facts, flat `k=v` pairs.
-    fn to_header(&self, cache: &str, epoch: u64) -> String {
+    fn to_header(self, cache: &str, epoch: u64) -> String {
         format!(
             "rows={};candidates={};cells={};cache={cache};epoch={epoch}",
             self.rows_scanned, self.candidates, self.cube_cells,
@@ -606,28 +582,48 @@ fn with_cost_block(doc: &str, cost_json: &str) -> String {
     }
 }
 
+/// Most sanitized tenants that get a cost-counter family of their own.
+/// Tenants first seen past the cap share the overflow family, so a
+/// client cycling `X-Exq-Tenant` values mints at most this many
+/// families plus one.
+pub const MAX_TRACKED_TENANTS: usize = 1_000;
+
 /// Fold a request's cost into the per-tenant accounting counters, keyed
 /// by a sanitized `X-Exq-Tenant` value. Tenant names are normalized to
-/// `[a-z0-9_]` (other characters become `_`) and capped, so arbitrary
-/// header bytes cannot mint unbounded or exposition-breaking counter
-/// names. Requests without the header are not accounted.
-fn account_tenant(inner: &Inner, tenant: Option<&str>, cost: &Cost) {
+/// `[a-z0-9_]` (other characters become `_`) and capped in length, so
+/// header bytes cannot mint exposition-breaking counter names. The
+/// first [`MAX_TRACKED_TENANTS`] distinct tenants each get
+/// `server.tenant.cost.{tenant}.*`; later ones are booked together under
+/// `server.tenant.overflow.*`, a name outside the per-tenant prefix
+/// that no tenant can produce. Requests without the header are not
+/// accounted.
+fn account_tenant(
+    sink: &MetricsSink,
+    tenants: &Mutex<BTreeSet<String>>,
+    tenant: Option<&str>,
+    cost: Cost,
+) {
     let Some(tenant) = tenant.and_then(sanitize_tenant) else {
         return;
     };
-    inner
-        .sink
-        .add(&format!("server.tenant.cost.{tenant}.requests"), 1);
-    inner
-        .sink
-        .add(&format!("server.tenant.cost.{tenant}.rows"), cost.rows_scanned);
-    inner.sink.add(
-        &format!("server.tenant.cost.{tenant}.candidates"),
-        cost.candidates,
-    );
-    inner
-        .sink
-        .add(&format!("server.tenant.cost.{tenant}.cells"), cost.cube_cells);
+    let family = {
+        let mut tracked = tenants.lock().expect("tenant set poisoned");
+        if tracked.contains(&tenant) || tracked.len() < MAX_TRACKED_TENANTS {
+            let family = format!("server.tenant.cost.{tenant}");
+            tracked.insert(tenant);
+            family
+        } else {
+            "server.tenant.overflow".to_string()
+        }
+    };
+    for (counter, value) in [
+        ("requests", 1),
+        ("rows", cost.rows_scanned),
+        ("candidates", cost.candidates),
+        ("cells", cost.cube_cells),
+    ] {
+        sink.add(&format!("{family}.{counter}"), value);
+    }
 }
 
 /// Normalize a tenant header value into a counter-name-safe token.
@@ -804,7 +800,7 @@ fn handle_question(inner: &Inner, request: &Request, endpoint: Endpoint) -> (Res
         // miss time, so hits stay byte-identical); the header reports
         // this request's own near-zero cost.
         let hit_cost = Cost::default();
-        account_tenant(inner, tenant, &hit_cost);
+        account_tenant(&inner.sink, &inner.tenants, tenant, hit_cost);
         let response = Response::json(200, doc.as_bytes().to_vec())
             .with_header("x-exq-cost", &hit_cost.to_header("hit", params.epoch));
         return (response, meta("hit"));
@@ -817,7 +813,7 @@ fn handle_question(inner: &Inner, request: &Request, endpoint: Endpoint) -> (Res
         Ok((doc, cost)) => {
             let doc = Arc::new(with_cost_block(&doc, &cost.to_json("miss", params.epoch)));
             inner.cache.insert(&key, Arc::clone(&doc));
-            account_tenant(inner, tenant, &cost);
+            account_tenant(&inner.sink, &inner.tenants, tenant, cost);
             Response::json(200, doc.as_bytes().to_vec())
                 .with_header("x-exq-cost", &cost.to_header("miss", params.epoch))
         }
@@ -1100,9 +1096,46 @@ mod tests {
         // Sanitized names render as legal Prometheus counter names.
         let sink = MetricsSink::recording();
         sink.add(
-            &format!("server.tenant.cost.{}.requests", sanitize_tenant("we?ird").unwrap()),
+            &format!(
+                "server.tenant.cost.{}.requests",
+                sanitize_tenant("we?ird").unwrap()
+            ),
             1,
         );
         assert!(sink.snapshot().to_prometheus().contains("we_ird"));
+    }
+
+    #[test]
+    fn tenant_cost_families_are_capped() {
+        let sink = MetricsSink::recording();
+        let tenants = Mutex::new(BTreeSet::new());
+        let cost = Cost {
+            rows_scanned: 1,
+            candidates: 1,
+            cube_cells: 1,
+        };
+        for i in 0..10_000 {
+            account_tenant(&sink, &tenants, Some(&format!("tenant{i}")), cost);
+        }
+        let snapshot = sink.snapshot();
+        let families: BTreeSet<&str> = snapshot
+            .counters
+            .keys()
+            .filter_map(|name| name.strip_prefix("server.tenant."))
+            .filter_map(|rest| rest.rsplit_once('.').map(|(family, _)| family))
+            .collect();
+        assert_eq!(families.len(), MAX_TRACKED_TENANTS + 1);
+        assert!(families.contains("overflow"));
+        assert_eq!(
+            snapshot.counter("server.tenant.overflow.requests"),
+            (10_000 - MAX_TRACKED_TENANTS) as u64
+        );
+        // A tracked tenant keeps its own family after the cap is hit.
+        account_tenant(&sink, &tenants, Some("tenant0"), cost);
+        assert_eq!(
+            sink.snapshot()
+                .counter("server.tenant.cost.tenant0.requests"),
+            2
+        );
     }
 }

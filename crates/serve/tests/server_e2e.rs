@@ -77,6 +77,26 @@ fn normalize(text: &str) -> String {
     out
 }
 
+/// Zero the values of the access log's wall-clock-derived keys so a
+/// line compares byte for byte.
+fn scrub_wall_clock(line: &str) -> String {
+    let mut out = line.to_string();
+    for key in [
+        "\"ts_bucket\": ",
+        "\"latency_bucket\": ",
+        "\"latency_ns\": ",
+    ] {
+        if let Some(at) = out.find(key) {
+            let start = at + key.len();
+            let end = out[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .map_or(out.len(), |n| start + n);
+            out.replace_range(start..end, "0");
+        }
+    }
+    out
+}
+
 #[test]
 fn health_datasets_metrics_and_errors() {
     let handle = start(ServerConfig::default());
@@ -644,7 +664,7 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
         shard_id: Some(7),
         trace_slow_ms: Some(0), // retain every request deterministically
         trace_retain: Some(traces_path.clone()),
-        access_log: exq_serve::AccessLog::open(&access_path, true).unwrap(),
+        access_log: exq_serve::LineLog::open(&access_path).unwrap(),
         ..ServerConfig::default()
     });
     let mut conn = client::Connection::new(handle.addr());
@@ -748,8 +768,8 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
         cube_cells as u64
     );
     assert!(snapshot.counter("server.trace.retained") >= 2);
-    // Retention persisted JSONL, and the deterministic access log tagged
-    // every line with tenant and shard.
+    // Retention persisted JSONL, and the access log tagged every line
+    // with tenant and shard.
     let persisted = std::fs::read_to_string(&traces_path).unwrap();
     assert!(
         persisted
@@ -763,9 +783,15 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
         .filter(|l| l.contains("\"endpoint\": \"explain\""))
         .collect();
     assert_eq!(explain_lines.len(), 2, "{access}");
-    assert!(explain_lines[0].contains("\"tenant\": \"Acme-Corp\""));
-    assert!(explain_lines[0].contains("\"shard\": 7"));
-    assert!(explain_lines[0].contains("\"ts_bucket\": 0"));
+    assert_eq!(
+        scrub_wall_clock(explain_lines[0]),
+        format!(
+            "{{\"ts_bucket\": 0, \"latency_bucket\": 0, \"trace_id\": {cold_trace}, \
+             \"tenant\": \"Acme-Corp\", \"shard\": 7, \"method\": \"POST\", \
+             \"path\": \"/v1/explain\", \"endpoint\": \"explain\", \"status\": 200, \
+             \"latency_ns\": 0, \"cache\": \"miss\"}}"
+        )
+    );
     assert!(explain_lines[1].contains("\"cache\": \"hit\""));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -795,4 +821,177 @@ fn shutdown_completes_queued_work() {
     // Everything the server accepted it answered; the final snapshot
     // saw every completed response.
     assert_eq!(snapshot.counter("server.responses.ok"), ok);
+}
+
+/// One explain is one record: the last-N ring, the retained ring, the
+/// retained JSON-lines file and the access log all report the same
+/// trace id, tenant, shard, endpoint, status and cache outcome for it.
+#[test]
+fn one_request_is_one_record_on_every_surface() {
+    let dir = std::env::temp_dir().join(format!("exq-record-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let traces_path = dir.join("traces.jsonl");
+    let access_path = dir.join("access.log");
+    let handle = start(ServerConfig {
+        shard_id: Some(3),
+        trace_slow_ms: Some(0),
+        trace_retain: Some(traces_path.clone()),
+        access_log: exq_serve::LineLog::open(&access_path).unwrap(),
+        ..ServerConfig::default()
+    });
+    let mut conn = client::Connection::new(handle.addr());
+    let reply = conn
+        .request_with(
+            "POST",
+            "/v1/explain",
+            Some(EXPLAIN_BODY.as_bytes()),
+            &[("x-exq-tenant", "Acme")],
+        )
+        .unwrap();
+    assert_eq!(reply.status, 200);
+    let trace: u64 = reply.header("x-exq-trace-id").unwrap().parse().unwrap();
+    let recent = conn.get("/v1/debug/requests").unwrap().text();
+    let retained = conn.get("/v1/debug/traces").unwrap().text();
+    handle.shutdown();
+
+    let list = |doc: &str, key: &str| {
+        let doc = exq_serve::json::parse(doc.as_bytes()).unwrap();
+        doc.get(key).and_then(|v| v.as_array()).unwrap().to_vec()
+    };
+    let lines = |path: &std::path::Path| {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(|l| exq_serve::json::parse(l.as_bytes()).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let surfaces = [
+        ("debug/requests", list(&recent, "requests")),
+        ("debug/traces", list(&retained, "traces")),
+        ("traces.jsonl", lines(&traces_path)),
+        ("access log", lines(&access_path)),
+    ];
+    for (surface, records) in &surfaces {
+        let record = records
+            .iter()
+            .find(|r| r.get("trace_id").and_then(|v| v.as_usize()) == Some(trace as usize))
+            .unwrap_or_else(|| panic!("trace {trace} missing from {surface}"));
+        let field = |key: &str| record.get(key).cloned();
+        assert_eq!(
+            field("tenant").and_then(|v| v.as_str().map(str::to_string)),
+            Some("Acme".to_string()),
+            "{surface}"
+        );
+        assert_eq!(
+            field("shard").and_then(|v| v.as_usize()),
+            Some(3),
+            "{surface}"
+        );
+        assert_eq!(
+            field("endpoint").and_then(|v| v.as_str().map(str::to_string)),
+            Some("explain".to_string()),
+            "{surface}"
+        );
+        assert_eq!(
+            field("status").and_then(|v| v.as_usize()),
+            Some(200),
+            "{surface}"
+        );
+        assert_eq!(
+            field("cache").and_then(|v| v.as_str().map(str::to_string)),
+            Some("miss".to_string()),
+            "{surface}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shutdown wakes the blocking accept: an idle server and an idle front
+/// stop within 2s, whether bound to loopback or to the unspecified
+/// address.
+#[test]
+fn idle_server_and_front_shut_down_promptly() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = exq_serve::start_on(
+            addr,
+            catalog(),
+            ServerConfig::default(),
+            exq_obs::MetricsSink::recording(),
+        )
+        .unwrap();
+        let front = exq_router::Front::start_on(
+            addr,
+            exq_router::FrontConfig::default(),
+            exq_obs::MetricsSink::recording(),
+        )
+        .unwrap();
+        // Let both accept threads park in `accept`.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "server on {addr} took {:?} to shut down",
+            started.elapsed()
+        );
+        let started = std::time::Instant::now();
+        front.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "front on {addr} took {:?} to shut down",
+            started.elapsed()
+        );
+    }
+}
+
+/// The front's merged `GET /v1/datasets` over two shards is byte for
+/// byte the listing of one server holding every dataset, including
+/// names that need JSON escaping.
+#[test]
+fn merged_catalog_listing_matches_a_single_server() {
+    let names = ["zeta", "alpha", "b\"q", "m\\n", "test"];
+    let shards = exq_router::ShardMap::new(2);
+    assert!(
+        (0..2).all(|shard| names.iter().any(|n| shards.shard_of(n) == shard)),
+        "both shards must own a dataset"
+    );
+    let catalog_of = |keep: &dyn Fn(&str) -> bool| {
+        let mut catalog = Catalog::new();
+        for name in names.iter().filter(|n| keep(n)) {
+            catalog
+                .insert_database(name, Arc::new(test_db()), &ExecConfig::sequential())
+                .unwrap();
+        }
+        catalog
+    };
+    let sink = exq_obs::MetricsSink::recording;
+    let single = exq_serve::start(catalog_of(&|_| true), ServerConfig::default(), sink()).unwrap();
+    let workers: Vec<_> = (0..2)
+        .map(|shard| {
+            let catalog = catalog_of(&|name| shards.shard_of(name) == shard);
+            exq_serve::start(catalog, ServerConfig::default(), sink()).unwrap()
+        })
+        .collect();
+    let front = exq_router::Front::start_on(
+        "127.0.0.1:0",
+        exq_router::FrontConfig {
+            workers: 2,
+            ..exq_router::FrontConfig::default()
+        },
+        sink(),
+    )
+    .unwrap();
+    for (shard, worker) in workers.iter().enumerate() {
+        front.upstreams().set_addr(shard, Some(worker.addr()));
+    }
+    let merged = client::get(front.addr(), "/v1/datasets").unwrap();
+    let direct = client::get(single.addr(), "/v1/datasets").unwrap();
+    assert_eq!(merged.status, 200);
+    assert_eq!(merged.text(), direct.text());
+    front.shutdown();
+    single.shutdown();
+    for worker in workers {
+        worker.shutdown();
+    }
 }

@@ -483,8 +483,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
     };
     let access_log = match args.optional("access-log") {
-        None => exq::serve::AccessLog::disabled(),
-        Some(path) => exq::serve::AccessLog::open(std::path::Path::new(path), false)
+        None => exq::serve::LineLog::default(),
+        Some(path) => exq::serve::LineLog::open(std::path::Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?,
     };
     let preloads = args.many("preload");
@@ -536,7 +536,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     eprintln!("signal received; draining in-flight requests");
-    let flight_json = handle.recent_requests_json();
+    let recent_json = handle.recent_requests_json();
     let snapshot = handle.shutdown();
     if let Some(path) = &obs.metrics_out {
         let json = snapshot.to_json();
@@ -545,14 +545,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         } else {
             fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
             eprintln!("wrote final metrics snapshot to {path}");
-            // Flight recorder lands next to the snapshot.
-            let flight_path = match path.strip_suffix(".json") {
+            // The last request records land next to the snapshot.
+            let recent_path = match path.strip_suffix(".json") {
                 Some(stem) => format!("{stem}.requests.json"),
                 None => format!("{path}.requests.json"),
             };
-            fs::write(&flight_path, flight_json + "\n")
-                .map_err(|e| format!("{flight_path}: {e}"))?;
-            eprintln!("wrote flight recorder to {flight_path}");
+            fs::write(&recent_path, recent_json + "\n")
+                .map_err(|e| format!("{recent_path}: {e}"))?;
+            eprintln!("wrote recent request records to {recent_path}");
         }
     }
     if let Some(path) = &obs.trace_out {
@@ -705,8 +705,8 @@ fn cmd_serve_router(args: &Args) -> Result<(), String> {
         // served it); workers log their own shard-sibling files. `-`
         // stays front-only: worker stdout is the supervisor's.
         access_log: match args.optional("access-log") {
-            None => exq::serve::AccessLog::disabled(),
-            Some(path) => exq::serve::AccessLog::open(std::path::Path::new(path), false)
+            None => exq::serve::LineLog::default(),
+            Some(path) => exq::serve::LineLog::open(std::path::Path::new(path))
                 .map_err(|e| format!("{path}: {e}"))?,
         },
         ..exq::router::FrontConfig::default()
@@ -1138,18 +1138,22 @@ with PATHS it lints just those files. --deny-warnings promotes warnings
 to a failing exit; --assume-crate NAME applies crate-scoped rules as if
 the files lived in crates/NAME (used by CI's injected-violation test).
 serve runs until SIGINT/SIGTERM, then drains in-flight requests and
-flushes a final metrics snapshot (--metrics PATH) plus the flight
-recorder's last-requests ring (PATH.requests.json); while running it
-exposes GET /metrics (Prometheus) and GET /v1/debug/requests.
+flushes a final metrics snapshot (--metrics PATH) plus the last 128
+request records (PATH.requests.json); while running it exposes
+GET /metrics (Prometheus) and GET /v1/debug/requests. Every request
+becomes one record (trace id, tenant, shard, method, path, endpoint,
+status, latency, cache outcome) that feeds three policies: the last-128
+ring, the retention of errors and slow requests, and the access log.
 Every serve response carries an X-Exq-Cost header (rows, candidates,
 cube cells, cache outcome, epoch) and the JSON body a matching `cost`
 block; requests tagged X-Exq-Tenant accumulate per-tenant
-server.tenant.cost.* counters. --trace-slow-ms MS retains traces of
+server.tenant.cost.* counters (the first 1000 tenants; later ones share
+server.tenant.overflow.*). --trace-slow-ms MS retains the records of
 requests slower than MS (or any 5xx) under --state-dir as
 traces.jsonl, browsable at GET /v1/debug/traces and flagged as
 Prometheus exemplar comments; without the flag the slow bound adapts
-to the live p99. --access-log PATH appends one JSON line per request
-(`-` for stdout).
+to the live p99. --access-log PATH appends each record as one JSON
+line (`-` for stdout).
 serve --router N spawns N worker processes, each owning a
 consistent-hash shard of the --preload catalog, behind this process as
 a routing front with per-tenant admission control (--rate-limit R
